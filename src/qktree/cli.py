@@ -17,7 +17,9 @@ from .adhesion import reduce_adhesion
 from .core import (
     Graph,
     RetriesExhaustedError,
+    connected_components,
     format_edge_list,
+    induced_subgraph,
     parse_edge_list,
 )
 from .decomp import (
@@ -145,6 +147,9 @@ def cmd_decompose(args) -> int:
             g, args.k, args.epsilon, variant,
             rng=random.Random(args.seed), seed=args.seed,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except RetriesExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RETRIES
@@ -169,6 +174,9 @@ def cmd_pwaycut(args) -> int:
             g, args.p, args.k, args.epsilon,
             rng=random.Random(args.seed), seed=args.seed,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except RetriesExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RETRIES
@@ -193,6 +201,9 @@ def cmd_ssmc(args) -> int:
     try:
         g = _read_graph(args.graph)
         sinks = sorted({int(s) for s in args.sinks.split(",") if s.strip()})
+        for v in [args.source] + sinks:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -223,6 +234,10 @@ def cmd_verify(args) -> int:
     try:
         g = _read_graph(args.graph)
         deco, variant, _seed = decomposition_from_json(_read_text(args.decomposition))
+        if deco.n != g.n:
+            raise ValueError(
+                f"decomposition has n={deco.n}, the graph has n={g.n}"
+            )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -258,12 +273,18 @@ def cmd_bench(args) -> int:
     lines = ["size,stage,millis"]
     for n in sizes:
         g = generate_graph(args.model, n, args.seed, args.prob)
+        # the origin and adhesion stages need a connected graph: time them
+        # on the largest component
+        comps = connected_components(g)
+        h = g
+        if len(comps) > 1:
+            h, _ids = induced_subgraph(g, max(comps, key=len))
         rng = random.Random(args.seed)
         try:
             t0 = time.perf_counter()
-            x0 = balanced_origin(g, k, sigma, rng)
+            x0 = balanced_origin(h, k, sigma, rng)
             t1 = time.perf_counter()
-            reduce_adhesion(g, x0, k, k, eps, rng)
+            reduce_adhesion(h, x0, k, k, eps, rng)
             t2 = time.perf_counter()
             deco, _report = decompose(
                 g, k, eps, VARIANT_STANDARD,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -171,6 +172,7 @@ def decompose(
     ≤ 2⌈1/ε⌉k+2k; DEPTH_REDUCED trades constant factors for logarithmic
     depth. Disconnected inputs yield per-component subtrees, all but the
     first hanging below the first component's root with empty adhesion.
+    Without an rng, a `random.Random(seed)` is used.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -178,6 +180,8 @@ def decompose(
         raise ValueError("epsilon must be in (0, 1]")
     if variant not in (VARIANT_STANDARD, VARIANT_DEPTH_REDUCED):
         raise ValueError(f"unknown variant {variant!r}")
+    if rng is None:
+        rng = random.Random(seed)
     params = variant_parameters(k, epsilon)[variant]
     sigma = params["sigma"]
 
@@ -266,14 +270,25 @@ def decomposition_to_json(
 
 
 def decomposition_from_json(text: str) -> Tuple[RootedTreeDecomposition, str, Optional[int]]:
+    """Inverse of `decomposition_to_json`; raises ValueError on a missing
+    key, a bad node id or parent, or a bag vertex outside 0..n-1."""
     payload = json.loads(text)
-    deco = RootedTreeDecomposition(int(payload["n"]))
-    nodes = sorted(payload["nodes"], key=lambda d: d["id"])
-    for i, nd in enumerate(nodes):
-        if nd["id"] != i:
-            raise ValueError("node ids must be 0..count-1")
-        parent = nd["parent"]
-        if parent is not None and not 0 <= parent < i:
-            raise ValueError(f"node {i} has invalid parent {parent}")
-        deco.add_node(parent, frozenset(int(v) for v in nd["bag"]))
+    try:
+        deco = RootedTreeDecomposition(int(payload["n"]))
+        nodes = sorted(payload["nodes"], key=lambda d: d["id"])
+        for i, nd in enumerate(nodes):
+            if nd["id"] != i:
+                raise ValueError("node ids must be 0..count-1")
+            parent = nd["parent"]
+            if parent is not None and not 0 <= parent < i:
+                raise ValueError(f"node {i} has invalid parent {parent}")
+            bag = frozenset(int(v) for v in nd["bag"])
+            for v in bag:
+                if not 0 <= v < deco.n:
+                    raise ValueError(f"node {i} has vertex {v} outside 0..{deco.n - 1}")
+            deco.add_node(parent, bag)
+    except KeyError as exc:
+        raise ValueError(f"decomposition JSON lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed decomposition JSON: {exc}") from None
     return deco, payload.get("variant", VARIANT_STANDARD), payload.get("seed")

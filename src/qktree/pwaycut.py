@@ -3,6 +3,7 @@ decomposition, with a component-flip DP and color coding for large bags."""
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -18,8 +19,6 @@ from .decomp import (
     decompose,
     variant_parameters,
 )
-
-INFEASIBLE = "INFEASIBLE"
 
 
 @dataclass(frozen=True)
@@ -53,45 +52,6 @@ def _submasks(m: int) -> List[int]:
         s = (s - 1) & m
 
 
-class DPTableM:
-    """Costs M[t, f, I]: the minimum cost (number of bichromatic edges) of a
-    p-coloring of the subtree graph G_t that respects the adhesion coloring
-    f, uses every color of I somewhere in G_t, and costs at most k; values
-    saturate at k+1 (infeasible).
-
-    f is a tuple of colors (1..p) aligned with the sorted adhesion set of t;
-    I is a bitmask with bit c-1 for color c. Entries are stored as full
-    vectors over all 2^p masks per (t, f)."""
-
-    def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.vectors: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
-
-    def get(self, t: int, f: Tuple[int, ...], imask: int) -> Optional[int]:
-        vec = self.vectors.get((t, f))
-        return None if vec is None else vec[imask]
-
-    def set_vector(self, t: int, f: Tuple[int, ...], vec: Tuple[int, ...]):
-        self.vectors[(t, f)] = vec
-
-
-class FlipDPTable:
-    """Partial costs T[i][j][I0][b] of the component-flip DP inside one bag:
-    the first i torso-like components (and j children attached to the i-th)
-    have been decided, I0 is the set of colors that must already be
-    realized, and b records whether component i is flipped away from the
-    heavy color."""
-
-    def __init__(self, inf: int):
-        self.inf = inf
-        self.entries: Dict[Tuple[int, int, int, int], int] = {}
-
-    def record(self, i: int, j: int, row: Dict[Tuple[int, int], int]):
-        for (mask, b), cost in row.items():
-            self.entries[(i, j, mask, b)] = cost
-
-
 class _Node:
     """Precomputed per-node bag structure used by both entry regimes."""
 
@@ -118,19 +78,23 @@ class _Node:
         for c in deco.nodes[t].children:
             c_adh = tuple(sorted(deco.adhesion_set(c)))
             self.children.append((c, tuple(self.pos[v] for v in c_adh)))
-        # breakable units: bag edges and multi-vertex child adhesions; a
-        # coloring of cost <= k crosses at most k of them in total
-        self.units: List[Tuple[str, int]] = [
-            ("e", i) for i in range(len(self.cost_edges))
-        ] + [
-            ("a", ci)
-            for ci, (_, adh_l) in enumerate(self.children)
-            if len(adh_l) >= 2
+        # breakable units as vertex tuples, bag edges first, then the
+        # multi-vertex child adhesions; a coloring of cost <= k crosses at
+        # most k of them in total
+        self.units: List[Tuple[int, ...]] = list(self.cost_edges) + [
+            adh_l for _, adh_l in self.children if len(adh_l) >= 2
         ]
 
 
 class PwayCutSolver:
-    """Demand-driven evaluation of the table M over one decomposition."""
+    """Demand-driven evaluation of the table M over one decomposition.
+
+    M[t, f, I] is the minimum cost (number of bichromatic edges) of a
+    p-coloring of the subtree graph G_t that respects the adhesion coloring
+    f, uses every color of I somewhere in G_t, and costs at most k; values
+    saturate at k+1 (infeasible). f is a tuple of colors (1..p) aligned with
+    the sorted adhesion set of t; I is a bitmask with bit c-1 for color c.
+    `vectors` holds the full vector over all 2^p masks per computed (t, f)."""
 
     def __init__(
         self,
@@ -151,19 +115,29 @@ class PwayCutSolver:
         self.rng = rng
         self.inf = k + 1
         self.full = (1 << p) - 1
-        self.table = DPTableM(p, k)
+        self.vectors: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
         self.info = [_Node(g, deco, t) for t in range(len(deco.nodes))]
-        self.flip_tables: List[FlipDPTable] = []  # regime-2 traces
+        self.submasks = [_submasks(m) for m in range(self.full + 1)]
+        self.popcount = [bin(m).count("1") for m in range(self.full + 1)]
+        # per node, built on first use by the exact regime
+        self.shapes: List[Optional[List[tuple]]] = [None] * len(self.info)
+        self.chains: List[Dict[Tuple, Tuple[int, ...]]] = [{} for _ in self.info]
+        # one stored copy of each equal tuple kept in `chains`
+        self.shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     # ---- public entry -------------------------------------------------
 
     def entry(self, t: int, f: Tuple[int, ...], imask: int) -> int:
         """M[t, f, imask], saturating at k+1."""
-        vec = self.table.vectors.get((t, f))
+        return self.vector(t, f)[imask]
+
+    def vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
+        """M[t, f, .] over all masks, computed on first demand."""
+        vec = self.vectors.get((t, f))
         if vec is None:
             vec = self._compute_vector(t, f)
-            self.table.set_vector(t, f, vec)
-        return vec[imask]
+            self.vectors[(t, f)] = vec
+        return vec
 
     # ---- regime dispatch ----------------------------------------------
 
@@ -183,140 +157,175 @@ class PwayCutSolver:
     def _chain(
         self, children: List[Tuple[int, Tuple[int, ...]]],
         profile: Tuple[Tuple[int, ...], ...],
-    ) -> List[int]:
+    ) -> Tuple[int, ...]:
         """Minimum total child cost per required-color mask: colors of the
         mask must be realized somewhere below, split among the children."""
         inf = self.inf
         d = [inf] * (self.full + 1)
         d[0] = 0
         for (cid, _), part in zip(children, profile):
+            cvec = self.vector(cid, part)
             nd = [inf] * (self.full + 1)
-            for m in range(self.full + 1):
+            for m, subs in enumerate(self.submasks):
                 best = inf
-                for s in _submasks(m):
-                    c_cost = self.entry(cid, part, s)
-                    if c_cost >= inf:
-                        continue
-                    cand = c_cost + d[m ^ s]
-                    if cand < best:
-                        best = cand
-                nd[m] = min(best, inf)
+                for s in subs:
+                    c_cost = cvec[s]
+                    if c_cost < inf:
+                        cand = c_cost + d[m ^ s]
+                        if cand < best:
+                            best = cand
+                nd[m] = best
             d = nd
-        return d
+        return tuple(d)
 
     # ---- exact regime ---------------------------------------------------
+
+    def _node_shapes(self, t: int) -> List[tuple]:
+        """The crossing shapes of node t, built on first use: one per set of
+        at most k crossing units in which every crossing unit separates its
+        own vertices. A shape is (component of each adhesion vertex,
+        component count, sorted components whose color matters: ends of
+        crossing edges and child-adhesion components, crossing edges as
+        component pairs, components of each child adhesion); components are
+        numbered by their smallest bag vertex."""
+        shapes = self.shapes[t]
+        if shapes is not None:
+            return shapes
+        info = self.info[t]
+        nb = len(info.bag)
+        units = info.units
+        n_edges = len(info.cost_edges)
+        child_adh = [adh_l for _, adh_l in info.children]
+        shapes = []
+        parent: List[int] = []
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for r in range(min(self.k, len(units)) + 1):
+            for subset in combinations(range(len(units)), r):
+                parent = list(range(nb))
+                broken = set(subset)
+                for ui, verts in enumerate(units):
+                    if ui not in broken:
+                        a = find(verts[0])
+                        for b in verts[1:]:
+                            parent[find(b)] = a
+                comp_of = [0] * nb
+                comp_ids: Dict[int, int] = {}
+                for v in range(nb):
+                    comp_of[v] = comp_ids.setdefault(find(v), len(comp_ids))
+                # a crossing unit left inside one component separates nothing
+                if any(
+                    all(comp_of[x] == comp_of[units[ui][0]] for x in units[ui])
+                    for ui in subset
+                ):
+                    continue
+                broken_edges = tuple(
+                    (comp_of[units[ui][0]], comp_of[units[ui][1]])
+                    for ui in subset if ui < n_edges
+                )
+                coupled = {c for pair in broken_edges for c in pair}
+                child_comps = tuple(
+                    tuple(comp_of[l] for l in adh_l) for adh_l in child_adh
+                )
+                for comps in child_comps:
+                    coupled.update(comps)
+                shapes.append((
+                    tuple(comp_of[l] for l in info.adh_local),
+                    len(comp_ids),
+                    sorted(coupled),
+                    broken_edges,
+                    child_comps,
+                ))
+        self.shapes[t] = shapes
+        return shapes
 
     def _exact_vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
         """Exact M[t, f, .] by enumerating every possible set of crossing
         bag edges and crossing child adhesions (at most k of them), the
         components they leave, and all colorings constant on those
-        components."""
+        components.
+
+        The crossing sets and the components they leave do not depend on f,
+        so they are built once per node (`_node_shapes`), as are the child
+        chains per restriction profile (`chains`); per f only the adhesion
+        conflict check and the colorings remain. A set in which some crossing
+        unit keeps all its vertices in one component is skipped: the same
+        set without that unit leaves the same components, and each of its
+        groups has the same bag cost and profile and at least as many free
+        components, so it matches or beats the skipped group for every mask
+        and the vector is unchanged."""
         info = self.info[t]
-        p, k, inf = self.p, self.k, self.inf
-        nb = len(info.bag)
-        forced_local = dict(zip(info.adh_local, f))
+        p, inf = self.p, self.inf
+        colors = range(1, p + 1)
 
         # (child restriction profile, realized mask, free slots) -> min cost
         groups: Dict[Tuple, int] = {}
 
-        for r in range(min(k, len(info.units)) + 1):
-            for subset in combinations(range(len(info.units)), r):
-                broken = frozenset(subset)
-                parent = list(range(nb))
+        for adh_comp, ncomp, coupled, broken_edges, child_comps in (
+            self._node_shapes(t)
+        ):
+            forced_comp: Dict[int, int] = {}
+            conflict = False
+            for c, col in zip(adh_comp, f):
+                if forced_comp.setdefault(c, col) != col:
+                    conflict = True
+                    break
+            if conflict:
+                continue
 
-                def find(x: int) -> int:
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
+            enum_comps = [c for c in coupled if c not in forced_comp]
+            free = min(ncomp - len(forced_comp) - len(enum_comps), p)
+            color = [0] * ncomp
+            base_realized = 0
+            for c, col in forced_comp.items():
+                color[c] = col
+                base_realized |= 1 << (col - 1)
 
-                for ui, (kind, idx) in enumerate(info.units):
-                    if ui in broken:
-                        continue
-                    if kind == "e":
-                        a, b = info.cost_edges[idx]
-                        parent[find(a)] = find(b)
-                    else:
-                        adh_l = info.children[idx][1]
-                        for a, b in zip(adh_l, adh_l[1:]):
-                            parent[find(a)] = find(b)
-
-                comp_of = [0] * nb
-                comp_ids: Dict[int, int] = {}
-                for v in range(nb):
-                    root = find(v)
-                    comp_of[v] = comp_ids.setdefault(root, len(comp_ids))
-                ncomp = len(comp_ids)
-
-                forced_comp: Dict[int, int] = {}
-                conflict = False
-                for local, col in forced_local.items():
-                    c = comp_of[local]
-                    if forced_comp.setdefault(c, col) != col:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-
-                coupled = set()
-                broken_edges = []
-                for ui in broken:
-                    kind, idx = info.units[ui]
-                    if kind == "e":
-                        a, b = info.cost_edges[idx]
-                        broken_edges.append((comp_of[a], comp_of[b]))
-                        coupled.add(comp_of[a])
-                        coupled.add(comp_of[b])
-                    else:
-                        for l in info.children[idx][1]:
-                            coupled.add(comp_of[l])
-                for _, adh_l in info.children:
-                    for l in adh_l:
-                        coupled.add(comp_of[l])
-                enum_comps = sorted(c for c in coupled if c not in forced_comp)
-                free = ncomp - len(forced_comp) - len(enum_comps)
-                base_realized = 0
-                for col in forced_comp.values():
-                    base_realized |= 1 << (col - 1)
-
-                for phi in product(range(1, p + 1), repeat=len(enum_comps)):
-                    color = dict(forced_comp)
-                    color.update(zip(enum_comps, phi))
-                    bagcost = sum(
-                        1 for ca, cb in broken_edges if color[ca] != color[cb]
-                    )
-                    if bagcost > k:
-                        continue
-                    realized = base_realized
-                    for col in phi:
-                        realized |= 1 << (col - 1)
-                    profile = tuple(
-                        tuple(color[comp_of[l]] for l in adh_l)
-                        for _, adh_l in info.children
-                    )
-                    key = (profile, realized, min(free, p))
-                    old = groups.get(key)
-                    if old is None or bagcost < old:
-                        groups[key] = bagcost
+            # at most k crossing edges, so every coloring costs at most k
+            for phi in product(colors, repeat=len(enum_comps)):
+                realized = base_realized
+                for c, col in zip(enum_comps, phi):
+                    color[c] = col
+                    realized |= 1 << (col - 1)
+                bagcost = 0
+                for ca, cb in broken_edges:
+                    if color[ca] != color[cb]:
+                        bagcost += 1
+                profile = tuple(
+                    tuple(color[c] for c in comps) for comps in child_comps
+                )
+                key = (profile, realized, free)
+                old = groups.get(key)
+                if old is None or bagcost < old:
+                    groups[key] = bagcost
 
         vec = [inf] * (self.full + 1)
-        chain_cache: Dict[Tuple, List[int]] = {}
+        chains = self.chains[t]
+        popcount = self.popcount
         for (profile, realized, free), bagcost in groups.items():
-            d = chain_cache.get(profile)
+            d = chains.get(profile)
             if d is None:
+                # chains live as long as the solver, and a node has many
+                # profiles but few distinct parts and chain vectors
+                share = self.shared.setdefault
                 d = self._chain(info.children, profile)
-                chain_cache[profile] = d
+                d = share(d, d)
+                chains[tuple(share(part, part) for part in profile)] = d
             for imask in range(self.full + 1):
                 need = imask & ~realized
                 best = vec[imask]
                 # unconstrained components can each absorb one missing color
-                for z in _submasks(need):
-                    if bin(z).count("1") > free:
-                        continue
-                    cand = bagcost + d[need ^ z]
-                    if cand < best:
-                        best = cand
-                vec[imask] = min(best, inf)
+                for z in self.submasks[need]:
+                    if popcount[z] <= free:
+                        cand = bagcost + d[need ^ z]
+                        if cand < best:
+                            best = cand
+                vec[imask] = best
         return tuple(vec)
 
     # ---- color-coding regime ---------------------------------------------
@@ -344,7 +353,7 @@ class PwayCutSolver:
 
     def _coded_guess_vector(self, t: int, f_rel: Tuple[int, ...]) -> List[int]:
         info = self.info[t]
-        p, k, inf = self.p, self.k, self.inf
+        p, inf = self.p, self.inf
         universe = len(info.bag)
         if universe == 0:
             return list(self._exact_vector(t, f_rel))
@@ -377,7 +386,7 @@ class PwayCutSolver:
         connected components of the non-heavy part to flip back to p, by DP;
         returns the minimum cost per required-color mask over colors < p."""
         info = self.info[t]
-        p, k, inf = self.p, self.k, self.inf
+        p, inf = self.p, self.inf
         nb = len(info.bag)
         # auxiliary graph: bag cost edges plus a clique per child adhesion
         adj: List[set] = [set() for _ in range(nb)]
@@ -441,44 +450,42 @@ class PwayCutSolver:
             comp_colors[i] = mask
             forced[i] = any(l in adh_local_set for l in comp)
 
-        table = FlipDPTable(inf)
-        self.flip_tables.append(table)
         masks = range(self.full + 1)
         cur: Dict[Tuple[int, int], int] = {
             (m, b): (0 if m == 0 else inf) for m in masks for b in (0, 1)
         }
-        table.record(0, 0, cur)
 
         def child_step(
             row: Dict[Tuple[int, int], int], ci: int,
             f0: Tuple[int, ...], f1: Tuple[int, ...], forbid0: bool,
         ) -> Dict[Tuple[int, int], int]:
             cid = info.children[ci][0]
+            vec0 = None if forbid0 else self.vector(cid, f0)
+            vec1 = self.vector(cid, f1)
             new: Dict[Tuple[int, int], int] = {}
             for m in masks:
                 best0 = inf
                 best1 = inf
-                for s in _submasks(m):
-                    if not forbid0:
-                        c0 = self.entry(cid, f0, s)
+                for s in self.submasks[m]:
+                    if vec0 is not None:
+                        c0 = vec0[s]
                         if c0 < inf:
                             cand = c0 + row[(m ^ s, 0)]
                             if cand < best0:
                                 best0 = cand
-                    c1 = self.entry(cid, f1, s)
+                    c1 = vec1[s]
                     if c1 < inf:
                         cand = c1 + row[(m ^ s, 1)]
                         if cand < best1:
                             best1 = cand
-                new[(m, 0)] = min(best0, inf)
-                new[(m, 1)] = min(best1, inf)
+                new[(m, 0)] = best0
+                new[(m, 1)] = best1
             return new
 
-        for j, ci in enumerate(group0, 1):
+        for ci in group0:
             adh_len = len(info.children[ci][1])
             f_p = (p,) * adh_len
             cur = child_step(cur, ci, f_p, f_p, False)
-            table.record(0, j, cur)
 
         for i in range(1, len(comps) + 1):
             fc = flip_cost[i - 1]
@@ -494,24 +501,13 @@ class PwayCutSolver:
                 new[(m, 0)] = v0
                 new[(m, 1)] = min(v1, inf)
             cur = new
-            table.record(i, 0, cur)
-            for j, ci in enumerate(attached[i - 1], 1):
+            for ci in attached[i - 1]:
                 adh_l = info.children[ci][1]
                 f0 = (p,) * len(adh_l)
                 f1 = tuple(gp[l] for l in adh_l)
                 cur = child_step(cur, ci, f0, f1, forced[i - 1])
-                table.record(i, j, cur)
 
         return [min(cur[(m, 0)], cur[(m, 1)]) for m in masks]
-
-
-def compute_bag_entry(
-    solver: PwayCutSolver, t: int, f: Tuple[int, ...], imask: int
-):
-    """One table entry M[t, f, imask] with child entries resolved on demand;
-    returns the cost, or INFEASIBLE when no coloring of cost <= k exists."""
-    cost = solver.entry(t, f, imask)
-    return cost if cost <= solver.k else INFEASIBLE
 
 
 def min_pway_cut(
@@ -538,8 +534,6 @@ def min_pway_cut(
         # deleting one edge adds at most one component
         return PwayResult(p, k, False, None, seed)
     if rng is None:
-        import random
-
         rng = random.Random(seed)
     deco, _report = decompose(g, k, epsilon, VARIANT_STANDARD, rng=rng, seed=seed)
     params = variant_parameters(k, epsilon)[VARIANT_STANDARD]

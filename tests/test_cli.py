@@ -142,3 +142,55 @@ def test_threads_flag_validation(gnp_file, capsys):
     assert code == 1 and "threads" in err
     code, _, _ = run(capsys, "--threads", "1", "gen", "--model", "path", "--n", "4")
     assert code == 0
+
+
+def test_ssmc_source_out_of_range_exits_one(tmp_path, capsys):
+    path = write_graph(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, "ssmc", path, "--source", "7", "--sinks", "1",
+                         "--k", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_decompose_beyond_enumeration_limit_exits_one(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
+                       "--prob", "0.08", "--seed", "0")
+    path = write_graph(tmp_path, "g60.txt", out)
+    code, out, err = run(capsys, "decompose", path, "--k", "5")
+    assert code == 1 and out == ""
+    assert "SIZE_GUARD" in err and err.count("\n") == 1
+
+
+def decomposition_file(tmp_path, capsys, edit):
+    path = write_graph(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    code, out, _ = run(capsys, "decompose", path, "--k", "1")
+    assert code == 0
+    payload = json.loads(out)
+    edit(payload)
+    return path, write_graph(tmp_path, "deco.json", json.dumps(payload))
+
+
+def test_verify_missing_key_exits_one(tmp_path, capsys):
+    graph, deco = decomposition_file(tmp_path, capsys,
+                                     lambda d: d.pop("nodes"))
+    code, out, err = run(capsys, "verify", graph, deco, "--k", "1")
+    assert code == 1 and out == ""
+    assert "'nodes'" in err and err.count("\n") == 1
+
+
+def test_verify_vertex_out_of_range_exits_one(tmp_path, capsys):
+    graph, deco = decomposition_file(
+        tmp_path, capsys, lambda d: d["nodes"][0]["bag"].append(9)
+    )
+    code, out, err = run(capsys, "verify", graph, deco, "--k", "1")
+    assert code == 1 and out == ""
+    assert "vertex 9" in err and err.count("\n") == 1
+
+
+def test_bench_default_model_exits_zero(capsys):
+    # the default gnp graph at n = 30 is disconnected
+    code, out, _ = run(capsys, "bench", "--sizes", "30")
+    assert code == 0
+    assert [ln.split(",")[1] for ln in out.splitlines()[1:]] == [
+        "origin", "adhesion", "decomp", "dp"
+    ]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -137,3 +138,27 @@ def test_subtree_unbreakability_flags_planted_breakable_bag():
     assert not unb.ok
     t, cut = unb.failures[0]
     assert t == 0 and cut.size <= 1
+
+
+def test_default_rng_is_seeded_by_seed():
+    g = connected_gnp(20, 0.2, 7)
+    runs = [decompose(g, 1, 1, seed=5) for _ in range(2)]
+    runs.append(decompose(g, 1, 1, rng=random.Random(5), seed=5))
+    js = {decomposition_to_json(deco, rep.variant, rep.seed) for deco, rep in runs}
+    assert len(js) == 1
+
+
+def test_from_json_rejects_missing_keys_and_out_of_range_vertices():
+    deco, rep = decompose(path_graph(4), 1, 1, seed=0)
+    good = json.loads(decomposition_to_json(deco, rep.variant, rep.seed))
+    for edit in (
+        lambda d: d.pop("n"),
+        lambda d: d.pop("nodes"),
+        lambda d: d["nodes"][0].pop("bag"),
+        lambda d: d["nodes"][0]["bag"].append(4),
+        lambda d: d["nodes"][0]["bag"].append(-1),
+    ):
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        with pytest.raises(ValueError):
+            decomposition_from_json(json.dumps(bad))

@@ -1,18 +1,11 @@
 import random
-from itertools import product
 
 import pytest
 
 from qktree import config
 from qktree.core import Graph, induced_subgraph
 from qktree.decomp import VARIANT_STANDARD, decompose, variant_parameters
-from qktree.pwaycut import (
-    INFEASIBLE,
-    DPTableM,
-    PwayCutSolver,
-    compute_bag_entry,
-    min_pway_cut,
-)
+from qktree.pwaycut import PwayCutSolver, min_pway_cut
 from qktree.verify import brute_pway_cut
 from qktree.verify import INFEASIBLE as BRUTE_INFEASIBLE
 
@@ -91,37 +84,44 @@ def test_random_agreement_with_brute_force(seed):
             check_against_oracle(g, p, k, seed * 31 + p * 5 + k)
 
 
-def brute_entry(g, deco, t, f, imask, p, k):
-    """Minimum cost over all p-colorings of G_t respecting f and realizing
-    every color of imask, saturated at k+1."""
+def brute_vector(g, deco, t, f, p, k):
+    """M[t, f, .] by exhaustion: per mask, the minimum cost over all
+    p-colorings of G_t respecting f and realizing every color of the mask,
+    saturated at k+1. Vertices are colored one at a time, adhesion first,
+    and a partial coloring that already costs more than k is dropped."""
     gamma = sorted(deco.cone(t))
     sigma = sorted(deco.adhesion_set(t))
     drop = [(u, v) for u in sigma for v in g.adj[u] if v in set(sigma) and u < v]
     sub, ids = induced_subgraph(g, gamma, drop_edges=drop)
     pos = {v: i for i, v in enumerate(ids)}
-    fixed = dict(zip((pos[v] for v in sigma), f))
-    best = k + 1
-    free = [i for i in range(sub.n) if i not in fixed]
-    for assign in product(range(1, p + 1), repeat=len(free)):
-        col = dict(fixed)
-        col.update(zip(free, assign))
-        realized = 0
-        for c in col.values():
-            realized |= 1 << (c - 1)
-        if imask & ~realized:
-            continue
-        cost = sum(1 for u, v in sub.edges() if col[u] != col[v])
-        if cost < best:
-            best = cost
-    return best
+    fixed = {pos[v]: c for v, c in zip(sigma, f)}
+    order = sorted(range(sub.n), key=lambda v: v not in fixed)
+    rank = {v: i for i, v in enumerate(order)}
+    col = {}
+    best = {}  # realized color mask -> minimum cost
+
+    def extend(i, cost, realized):
+        if i == len(order):
+            if cost < best.get(realized, k + 1):
+                best[realized] = cost
+            return
+        v = order[i]
+        for c in [fixed[v]] if v in fixed else range(1, p + 1):
+            cost_c = cost + sum(
+                1 for u in sub.adj[v] if rank[u] < i and col[u] != c
+            )
+            if cost_c <= k:
+                col[v] = c
+                extend(i + 1, cost_c, realized | 1 << (c - 1))
+
+    extend(0, 0, 0)
+    return tuple(
+        min((c for r, c in best.items() if not imask & ~r), default=k + 1)
+        for imask in range(1 << p)
+    )
 
 
-@pytest.mark.parametrize("seed", [0, 2, 5])
-def test_table_entries_match_exhaustive_coloring(seed):
-    rng = random.Random(seed)
-    n = rng.randint(5, 8)
-    g = gnp(n, 0.35, seed + 40)
-    p, k = 3, 3
+def solved(g, p, k, seed):
     deco, _ = decompose(g, k, 1, rng=random.Random(seed), seed=seed)
     params = variant_parameters(k, 1)[VARIANT_STANDARD]
     solver = PwayCutSolver(
@@ -129,24 +129,53 @@ def test_table_entries_match_exhaustive_coloring(seed):
         random.Random(seed),
     )
     solver.entry(deco.root, (), solver.full)
-    assert isinstance(solver.table, DPTableM)
-    for (t, f), vec in solver.table.vectors.items():
-        for imask in range(solver.full + 1):
-            expect = brute_entry(g, deco, t, f, imask, p, k)
-            assert vec[imask] == expect, (t, f, imask, vec[imask], expect)
+    return deco, solver
+
+
+def has_cycle(nb, edges):
+    parent = list(range(nb))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return True
+        parent[ra] = rb
+    return False
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_table_entries_match_exhaustive_coloring(seed):
+    rng = random.Random(seed)
+    g3 = gnp(rng.randint(5, 8), 0.35, seed + 40)
+    # at p = k = 4 the graph is larger, so the decomposition has bags with
+    # cycles (crossing sets that separate nothing, skipped by the DP) and
+    # child adhesions of two or more vertices (crossing adhesion units)
+    g4 = gnp(11, 0.35, seed + 40)
+    for g, p, k in ((g3, 3, 3), (g4, 4, 4)):
+        deco, solver = solved(g, p, k, seed)
+        if p == 4:
+            assert any(
+                has_cycle(len(info.bag), info.cost_edges) for info in solver.info
+            )
+            assert any(
+                len(adh_l) >= 2
+                for info in solver.info for _, adh_l in info.children
+            )
+            # some child was asked for an adhesion coloring that crosses it
+            assert any(len(set(f)) > 1 for _t, f in solver.vectors)
+        for (t, f), vec in solver.vectors.items():
+            expect = brute_vector(g, deco, t, f, p, k)
+            assert vec == expect, (p, k, t, f, vec, expect)
 
 
 def test_entry_monotone_in_required_colors():
-    g = gnp(8, 0.3, 17)
-    p, k = 3, 3
-    deco, _ = decompose(g, k, 1, rng=random.Random(1), seed=1)
-    params = variant_parameters(k, 1)[VARIANT_STANDARD]
-    solver = PwayCutSolver(
-        g, deco, p, k, params["q_bound"], params["adhesion_bound"],
-        random.Random(1),
-    )
-    solver.entry(deco.root, (), solver.full)
-    for (t, f), vec in solver.table.vectors.items():
+    _deco, solver = solved(gnp(8, 0.3, 17), 3, 3, 1)
+    for (t, f), vec in solver.vectors.items():
         for imask in range(solver.full + 1):
             for sub in range(imask + 1):
                 if sub & ~imask:
@@ -154,17 +183,11 @@ def test_entry_monotone_in_required_colors():
                 assert vec[sub] <= vec[imask]
 
 
-def test_compute_bag_entry_reports_infeasible():
-    g = complete_graph(4)
-    p, k = 2, 2
-    deco, _ = decompose(g, k, 1, rng=random.Random(0))
-    params = variant_parameters(k, 1)[VARIANT_STANDARD]
-    solver = PwayCutSolver(
-        g, deco, p, k, params["q_bound"], params["adhesion_bound"],
-        random.Random(0),
-    )
-    assert compute_bag_entry(solver, deco.root, (), solver.full) == INFEASIBLE
-    assert compute_bag_entry(solver, deco.root, (), 0b01) == 0
+def test_entry_saturates_when_infeasible():
+    k = 2
+    deco, solver = solved(complete_graph(4), 2, k, 0)
+    assert solver.entry(deco.root, (), solver.full) > k
+    assert solver.entry(deco.root, (), 0b01) == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -179,21 +202,30 @@ def test_coded_regime_matches_exact(seed, monkeypatch):
 
 
 def test_flip_dp_forced_components_stay_infeasible_unflipped(monkeypatch):
-    # force the coded regime and inspect the recorded flip tables: whenever
-    # a component meets the adhesion, its unflipped row is saturated
+    # force the coded regime and inspect every flip-DP vector: a component
+    # that meets the adhesion must keep its colors, so the colors (other
+    # than the heavy one) that f gives the adhesion are always realized and
+    # requiring them changes no entry
     monkeypatch.setattr(config, "PWAY_EXACT_BAG_LIMIT", -1)
     g = gnp(8, 0.35, 5)
     p, k = 3, 3
-    deco, _ = decompose(g, k, 1, rng=random.Random(3), seed=3)
-    params = variant_parameters(k, 1)[VARIANT_STANDARD]
-    solver = PwayCutSolver(
-        g, deco, p, k, params["q_bound"], params["adhesion_bound"],
-        random.Random(3),
-    )
-    solver.entry(deco.root, (), solver.full)
-    assert solver.flip_tables, "coded regime was never exercised"
-    assert all(
-        cost <= solver.inf
-        for table in solver.flip_tables
-        for cost in table.entries.values()
-    )
+    calls = []
+    flip_vector = PwayCutSolver._flip_vector
+
+    def recording(self, t, gp):
+        vec = flip_vector(self, t, gp)
+        calls.append((self.info[t], list(gp), vec))
+        return vec
+
+    monkeypatch.setattr(PwayCutSolver, "_flip_vector", recording)
+    _deco, solver = solved(g, p, k, 3)
+    forced_calls = 0
+    for info, gp, vec in calls:
+        forced = 0
+        for local in info.adh_local:
+            if gp[local] != p:
+                forced |= 1 << (gp[local] - 1)
+        forced_calls += forced != 0
+        assert all(cost <= solver.inf for cost in vec)
+        assert all(vec[m] == vec[m | forced] for m in range(solver.full + 1))
+    assert forced_calls, "no flip DP had a component meeting the adhesion"
