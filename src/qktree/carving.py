@@ -74,15 +74,14 @@ def is_connected_witness(ctx: WitnessContext, cut: VertexCut) -> bool:
     return is_connected(h, local)
 
 
-def carvable_oracle(
-    ctx: WitnessContext, enum_limit: int = config.CARVABLE_ENUM_LIMIT
-) -> FrozenSet[int]:
+def carvable_oracle(ctx: WitnessContext) -> FrozenSet[int]:
     """Exact set of terminals lying in L\\R of some connected witness,
     by enumerating every (L\\R, L∩R, R\\L) assignment of the vertices."""
     g = ctx.g
-    if g.n > enum_limit:
+    limit = config.CARVABLE_ENUM_LIMIT
+    if g.n > limit:
         raise SizeGuardError(
-            f"graph with {g.n} vertices exceeds the enumeration limit {enum_limit}"
+            f"graph with {g.n} vertices exceeds the enumeration limit {limit}"
         )
     carvable: set = set()
     for assign in product((0, 1, 2), repeat=g.n):
@@ -101,11 +100,6 @@ def carvable_oracle(
         if cut.is_valid(g) and is_connected_witness(ctx, cut):
             carvable.update(set(left_only) & ctx.t_set)
     return frozenset(carvable)
-
-
-def carve_one(t_set: Iterable[int], cut: VertexCut) -> FrozenSet[int]:
-    """New terminal set (T \\ L) ∪ (L ∩ R)."""
-    return (frozenset(t_set) - cut.L) | cut.separator
 
 
 def carve_many(t_set: Iterable[int], cuts: CutCollection) -> FrozenSet[int]:

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from . import config
 from .adhesion import reduce_adhesion
 from .core import (
     Graph,
@@ -30,7 +29,7 @@ from .decomp import (
     decomposition_to_json,
     variant_parameters,
 )
-from .flow import PreconditionError, unit_capacities
+from .flow import unit_capacities
 from .origin import balanced_origin
 from .pwaycut import PwayCutSolver, min_pway_cut
 from .ssmc import single_source_mincut_cover
@@ -52,13 +51,12 @@ _VARIANTS = {
 }
 
 
-def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_edge_list(text)
-
-
-def _read_text(path: str) -> str:
-    return sys.stdin.read() if path == "-" else open(path).read()
+def _read(path: str) -> str:
+    """The text of a file, or of stdin for "-"."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
 
 
 def _write_out(text: str, out: Optional[str]):
@@ -74,8 +72,11 @@ def _json_line(payload: dict) -> str:
 
 
 def _epsilon(value: str) -> Fraction:
-    eps = Fraction(value)
-    if not 0 < eps <= 1:
+    try:
+        eps = Fraction(value)
+    except ZeroDivisionError:  # "1/0"; argparse reports a ValueError itself
+        eps = None
+    if eps is None or not 0 < eps <= 1:
         raise argparse.ArgumentTypeError("epsilon must be in (0, 1]")
     return eps
 
@@ -136,23 +137,12 @@ def _verify_decomposition(g, deco, k, epsilon, variant) -> List[str]:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = parse_edge_list(_read(args.graph))
     variant = _VARIANTS[args.variant]
-    try:
-        deco, report = decompose(
-            g, args.k, args.epsilon, variant,
-            rng=random.Random(args.seed), seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RetriesExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RETRIES
+    deco, _report = decompose(
+        g, args.k, args.epsilon, variant,
+        rng=random.Random(args.seed), seed=args.seed,
+    )
     _write_out(decomposition_to_json(deco, variant, args.seed), args.out)
     if args.verify:
         problems = _verify_decomposition(g, deco, args.k, args.epsilon, variant)
@@ -164,22 +154,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_pwaycut(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        res = min_pway_cut(
-            g, args.p, args.k, args.epsilon,
-            rng=random.Random(args.seed), seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RetriesExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RETRIES
+    g = parse_edge_list(_read(args.graph))
+    res = min_pway_cut(
+        g, args.p, args.k, args.epsilon,
+        rng=random.Random(args.seed), seed=args.seed,
+    )
     sys.stdout.write(_json_line(res.to_json_dict()))
     if args.oracle:
         oracle = brute_pway_cut(g, args.p, args.k)
@@ -198,23 +177,14 @@ def cmd_pwaycut(args) -> int:
 
 
 def cmd_ssmc(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-        sinks = sorted({int(s) for s in args.sinks.split(",") if s.strip()})
-        for v in [args.source] + sinks:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        cover, captured = single_source_mincut_cover(
-            unit_capacities(g), args.source, sinks, args.k,
-            random.Random(args.seed),
-        )
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = parse_edge_list(_read(args.graph))
+    sinks = sorted({int(s) for s in args.sinks.split(",") if s.strip()})
+    for v in [args.source] + sinks:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    cover, captured = single_source_mincut_cover(
+        unit_capacities(g), args.source, sinks, args.k, random.Random(args.seed)
+    )
     payload = {
         "source": args.source,
         "k": args.k,
@@ -231,16 +201,10 @@ def cmd_ssmc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-        deco, variant, _seed = decomposition_from_json(_read_text(args.decomposition))
-        if deco.n != g.n:
-            raise ValueError(
-                f"decomposition has n={deco.n}, the graph has n={g.n}"
-            )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = parse_edge_list(_read(args.graph))
+    deco, variant, _seed = decomposition_from_json(_read(args.decomposition))
+    if deco.n != g.n:
+        raise ValueError(f"decomposition has n={deco.n}, the graph has n={g.n}")
     problems = _verify_decomposition(g, deco, args.k, args.epsilon, variant)
     if problems:
         for line in problems:
@@ -251,36 +215,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        g = generate_graph(args.model, args.n, args.seed, args.prob)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    g = generate_graph(args.model, args.n, args.seed, args.prob)
     _write_out(format_edge_list(g), args.out)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        if not sizes:
-            raise ValueError("empty size list")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    if not sizes:
+        raise ValueError("empty size list")
     k, eps = args.k, args.epsilon
     sigma = math.ceil(1 / eps) * k + k
     lines = ["size,stage,millis"]
     for n in sizes:
-        g = generate_graph(args.model, n, args.seed, args.prob)
-        # the origin and adhesion stages need a connected graph: time them
-        # on the largest component
-        comps = connected_components(g)
-        h = g
-        if len(comps) > 1:
-            h, _ids = induced_subgraph(g, max(comps, key=len))
-        rng = random.Random(args.seed)
         try:
+            g = generate_graph(args.model, n, args.seed, args.prob)
+            # the origin and adhesion stages need a connected graph: time
+            # them on the largest component
+            comps = connected_components(g)
+            h = g
+            if len(comps) > 1:
+                h, _ids = induced_subgraph(g, max(comps, key=len))
+            rng = random.Random(args.seed)
             t0 = time.perf_counter()
             x0 = balanced_origin(h, k, sigma, rng)
             t1 = time.perf_counter()
@@ -299,8 +255,8 @@ def cmd_bench(args) -> int:
             solver.entry(deco.root, (), solver.full)
             t4 = time.perf_counter()
         except (ValueError, RetriesExhaustedError) as exc:
-            print(f"error: size {n}: {exc}", file=sys.stderr)
-            return EXIT_RETRIES if isinstance(exc, RetriesExhaustedError) else EXIT_IO
+            exc.args = (f"size {n}: {exc}",)  # name the size; main() reports it
+            raise
         for stage, ms in (
             ("origin", t1 - t0),
             ("adhesion", t2 - t1),
@@ -318,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Unbreakable tree decompositions and minimum p-way cuts"
         ),
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads (the implementation is sequential; kept for "
-        "reproducibility: 1 is the only supported value today)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -386,11 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one verb. Bad input and I/O failures exit EXIT_IO and retry
+    loops that never succeed exit EXIT_RETRIES, each with one error line."""
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
+    try:
+        return args.func(args)
+    except RetriesExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RETRIES
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -50,14 +50,8 @@ class Graph:
             )
         return self._masks
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> List[Tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, ascending."""
@@ -83,9 +77,6 @@ class Graph:
         ) + tuple(new_adj)
         g.m = self.m + sum(len(nbrs) for nbrs in new_adj)
         return g
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -150,6 +141,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"bad header line: {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -1,13 +1,13 @@
-"""Vertex-capacitated maximum flow bounded by k, with mincut and path extraction."""
+"""Vertex-capacitated maximum flow bounded by k, with mincut extraction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Graph, VertexCut, induced_subgraph
+from .core import Graph, VertexCut
 
 INF = math.inf
 
@@ -36,19 +36,15 @@ class CapacitatedGraph:
             raise ValueError("capacities must be positive integers or INF")
 
 
-def unit_capacities(g: Graph, inf_set: Iterable[int] = ()) -> CapacitatedGraph:
-    """Capacity 1 everywhere except INF on inf_set."""
-    infs = set(inf_set)
-    return CapacitatedGraph(
-        g, tuple(INF if v in infs else 1 for v in range(g.n))
-    )
+def unit_capacities(g: Graph) -> CapacitatedGraph:
+    """Capacity 1 everywhere."""
+    return CapacitatedGraph(g, (1,) * g.n)
 
 
 @dataclass(frozen=True)
 class FlowResult:
     value: object  # int or EXCEEDS_BOUND
     mincut: Optional[VertexCut] = None
-    paths: Optional[List[List[int]]] = None
 
 
 class _SplitNetwork:
@@ -224,48 +220,6 @@ def _cut_from_labels(label: List[int], n: int) -> VertexCut:
     return VertexCut(frozenset(left), frozenset(right))
 
 
-def _decompose_paths(
-    net: _SplitNetwork,
-    original_cap: List[int],
-    cap: List[int],
-    src_nodes: List[int],
-    snk_nodes: FrozenSet[int],
-) -> List[List[int]]:
-    """Read vertex paths off the flow (original_cap - residual cap per arc).
-
-    Each path takes one unit from the first source node with flow left,
-    then the first arc in order that carries flow, until a sink node."""
-    flow = [orig - cur for orig, cur in zip(original_cap, cap)]
-    arcs = net.out
-    # no flow enters a source node, so its net outflow is what the
-    # (modelled) endpoint arc from the super source carried into it
-    supply = [sum(flow[i] for i, _ in arcs[x]) for x in src_nodes]
-    paths = []
-    while True:
-        first = next((j for j, f in enumerate(supply) if f > 0), None)
-        if first is None:
-            break
-        supply[first] -= 1
-        node = src_nodes[first]
-        trail = [node]
-        while node not in snk_nodes:
-            nxt = next(((i, u) for i, u in arcs[node] if flow[i] > 0), None)
-            if nxt is None:
-                break
-            flow[nxt[0]] -= 1
-            node = nxt[1]
-            trail.append(node)
-        if node not in snk_nodes:
-            break
-        verts = []
-        for nd in trail:
-            v = nd // 2
-            if not verts or verts[-1] != v:
-                verts.append(v)
-        paths.append(verts)
-    return paths
-
-
 def bounded_vertex_maxflow(
     cg: CapacitatedGraph,
     sources: Iterable[int],
@@ -273,7 +227,6 @@ def bounded_vertex_maxflow(
     bound: int,
     cut_sources: bool = False,
     cut_sinks: bool = False,
-    with_paths: bool = False,
 ) -> FlowResult:
     """Max flow between vertex sets with value capped at `bound`.
 
@@ -281,7 +234,9 @@ def bounded_vertex_maxflow(
     most `bound`, else EXCEEDS_BOUND. With the default flags the endpoint
     vertices themselves are not cuttable (sources end in L\\R, sinks in
     R\\L); with cut_sources / cut_sinks their own capacities apply and they
-    may appear in the separator.
+    may appear in the separator. The cut may then have an empty L\\R (or
+    R\\L), since every source (or sink) may sit in the separator: such a cut
+    breaks VertexCut's nonempty-sides invariant and fails `is_valid`.
     """
     src = frozenset(sources)
     snk = frozenset(sinks)
@@ -298,17 +253,13 @@ def bounded_vertex_maxflow(
                         "PRECONDITION_EDGE", f"edge ({u},{v}) joins a source to a sink"
                     )
     net = _split_network(g)
-    original_cap = _capacities(cg, bound)
-    cap = original_cap[:]
+    cap = _capacities(cg, bound)[:]
     src_nodes = sorted(2 * v + (not cut_sources) for v in src)
     snk_nodes = frozenset(2 * v + cut_sinks for v in snk)
     value, label = _max_flow(net, cap, src_nodes, snk_nodes, bound)
     if value > bound:
         return FlowResult(EXCEEDS_BOUND)
-    paths = None
-    if with_paths:
-        paths = _decompose_paths(net, original_cap, cap, src_nodes, snk_nodes)
-    return FlowResult(value, _cut_from_labels(label, g.n), paths)
+    return FlowResult(value, _cut_from_labels(label, g.n))
 
 
 def minimal_side_mincut(
@@ -327,63 +278,3 @@ def minimal_side_mincut(
     return bounded_vertex_maxflow(
         cg, sources, sinks, bound, cut_sources=cut_sources, cut_sinks=cut_sinks
     )
-
-
-def disjoint_paths_certificate(
-    g: Graph,
-    start_set: Iterable[int],
-    end_set: Iterable[int],
-    within: Iterable[int],
-    count: int,
-) -> Optional[List[List[int]]]:
-    """`count` vertex-disjoint paths in g[within] from distinct start vertices
-    to end_set, or None if no such system exists."""
-    starts = set(start_set)
-    ends = set(end_set)
-    wset = set(within)
-    if not starts <= wset:
-        raise PreconditionError("PRECONDITION_SUBSET", "start_set must lie inside within")
-    ends &= wset
-    if count <= 0:
-        return []
-    # a vertex that is both a start and an end serves as its own path
-    trivial = sorted(starts & ends)[: count]
-    paths: List[List[int]] = [[v] for v in trivial]
-    need = count - len(paths)
-    if need == 0:
-        return paths
-    remaining = wset - set(trivial)
-    starts2 = (starts - set(trivial)) & remaining
-    ends2 = (ends - set(trivial)) & remaining
-    if not starts2 or not ends2:
-        return None
-    sub, ids = induced_subgraph(g, remaining)
-    pos = {v: i for i, v in enumerate(ids)}
-    cg = unit_capacities(sub)
-    res = bounded_vertex_maxflow(
-        cg,
-        frozenset(pos[v] for v in starts2),
-        frozenset(pos[v] for v in ends2),
-        bound=need,
-        cut_sources=True,
-        cut_sinks=True,
-        with_paths=True,
-    )
-    if res.value == EXCEEDS_BOUND:
-        # more than `need` disjoint paths exist; rerun with a higher bound
-        # so the decomposition is available, then keep the first `need`
-        res = bounded_vertex_maxflow(
-            cg,
-            frozenset(pos[v] for v in starts2),
-            frozenset(pos[v] for v in ends2),
-            bound=sub.n,
-            cut_sources=True,
-            cut_sinks=True,
-            with_paths=True,
-        )
-    if res.value != EXCEEDS_BOUND and res.value < need:
-        return None
-    assert res.paths is not None
-    for p in res.paths[:need]:
-        paths.append([ids[i] for i in p])
-    return paths

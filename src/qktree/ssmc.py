@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Tuple
 
 from . import config
-from .core import Graph, VertexCut, connected_components
+from .core import Graph, VertexCut
 from .flow import (
     EXCEEDS_BOUND,
     INF,
@@ -16,7 +16,7 @@ from .flow import (
     bounded_vertex_maxflow,
     minimal_side_mincut,
 )
-from .isolating import isolating_vertex_cuts, pairwise_disjoint
+from .isolating import pairwise_disjoint
 
 CutCollection = List[VertexCut]
 
@@ -66,17 +66,15 @@ def _cuts_by_size(
                 continue
             cut = res.mincut
         iso[t] = cut
-    if not pairwise_disjoint(iso.values()):
-        # defensive fallback to the localized construction, which repairs
-        # disjointness violations internally; like the flows above, it
-        # keeps only cuts of capacity <= k
-        terms = sorted(term_set)
-        full_iso = isolating_vertex_cuts(cg, terms)
-        iso = {
-            t: cut
-            for t, cut in zip(terms, full_iso)
-            if t != s and sum(cg.capacity[v] for v in cut.separator) <= k
-        }
+    # These minimal cuts are pairwise ordered-disjoint, because the terminals
+    # are independent and never cut. For terminals a != b, let A be the
+    # minimal side L\R of a's cut and C the side R\L of b's. By
+    # submodularity of X -> c(N(X)), c(N(A & C)) + c(N(A | C)) is at most
+    # lambda_a + lambda_b. A | C holds every terminal but b and its
+    # neighborhood avoids b, so c(N(A | C)) >= lambda_b and
+    # c(N(A & C)) <= lambda_a: A & C is a minimum a-isolating set as well.
+    # A is the least one, so A lies in C and misses L_b.
+    assert pairwise_disjoint(iso.values())
     by_size: dict = {}
     for t in sampled:
         if t in iso:
@@ -91,7 +89,6 @@ def single_source_mincut_cover(
     sinks: Iterable[int],
     k: int,
     rng,
-    c_mid: int = config.C_MID,
 ) -> Tuple[MincutCover, FrozenSet[int]]:
     """Mincut cover for all sinks within vertex connectivity k of the source.
 
@@ -103,6 +100,8 @@ def single_source_mincut_cover(
     g = cg.base
     sink_set = frozenset(sinks)
     sink_list = sorted(sink_set)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if s in sink_list:
         raise PreconditionError("PRECONDITION_OVERLAP", "source cannot be a sink")
     for t in sink_list:
@@ -117,7 +116,7 @@ def single_source_mincut_cover(
                     "PRECONDITION_INDEPENDENCE", f"sinks {a} and {b} are adjacent"
                 )
     log = max(1, math.ceil(math.log2(max(g.n, 2))))
-    mid_reps = c_mid * log * log
+    mid_reps = config.C_MID * log * log
     scales = max(1, math.floor(math.log2(max(g.n, 2)))) + 1
 
     gamma: set = set()
@@ -126,26 +125,15 @@ def single_source_mincut_cover(
     # sampled sets recur constantly across repetitions; memoize per call
     iso_cache: dict = {}
 
-    # sinks disconnected from the source have mincut value 0; capture them
-    # deterministically with one collection of component cuts
-    full = frozenset(range(g.n))
-    zero_coll: List[VertexCut] = []
-    for comp in connected_components(g):
-        if s in comp:
-            continue
-        comp_sinks = [t for t in sink_list if t in comp]
-        if comp_sinks:
-            zero_coll.append(VertexCut(comp, full - comp))
-            gamma.update(comp_sinks)
-    if zero_coll:
-        cover.collections.append(zero_coll)
-
     # a cut of size k' <= k isolating a sink certifies lambda(t, s) <= k, so
     # sinks above that connectivity can never be captured; drop them from
     # the sampling pool up front (one cheap bounded flow each), keeping
     # each remaining sink's source-minimal t-s mincut
     light: List[int] = []
     light_cut: dict = {}
+    # a sink cut off from the source has flow value 0, and its minimal cut
+    # is its component; those cuts form one collection, by smallest member
+    zero: dict = {}
     # a cut kept for t separates it from s and has capacity <= k, so its
     # capacity is at least lambda(t, s); with finite capacities at most
     # `top`, it has at least least[t] = ceil(lambda(t, s) / top) vertices
@@ -153,13 +141,18 @@ def single_source_mincut_cover(
     least: dict = {}
     for t in sink_list:
         if t in gamma:
-            light.append(t)
-            continue
+            continue  # in the component of a sink already cut off
         res = bounded_vertex_maxflow(cg, {t}, {s}, k)
-        if res.value != EXCEEDS_BOUND:
+        if res.value == 0:
+            comp = res.mincut.L
+            zero[min(comp)] = res.mincut
+            gamma |= comp & sink_set
+        elif res.value != EXCEEDS_BOUND:
             light.append(t)
             light_cut[t] = res.mincut
             least[t] = -(-res.value // top)
+    if zero:
+        cover.collections.append([zero[v] for v in sorted(zero)])
 
     rand = rng.random
     for k_prime in range(1, k + 1):

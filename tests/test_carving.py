@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -7,7 +7,6 @@ from qktree.carving import (
     WitnessContext,
     carvable_oracle,
     carve_many,
-    carve_one,
     color_family,
     color_family_general,
     is_connected_witness,
@@ -16,7 +15,6 @@ from qktree.carving import (
     witness_cover,
 )
 from qktree.core import Graph, SizeGuardError, VertexCut, adhesion
-from qktree.flow import disjoint_paths_certificate
 from qktree.origin import UNBREAKABLE, balanced_origin, check_unbreakable
 
 from conftest import connected_gnp, gnp, path_graph, star_graph
@@ -122,12 +120,9 @@ def test_carvable_matches_connected_witness_enumeration():
         assert carvable_oracle(ctx) == expected, (seed, g.edges(), sorted(t))
 
 
-def test_carve_one_set_arithmetic():
-    cut = VertexCut(frozenset({1, 2}), frozenset({2, 3, 4}))
-    assert carve_one({1, 2, 3, 4}, cut) == frozenset({2, 3, 4})
-    # L∩T = L∩R leaves T unchanged
-    cut2 = VertexCut(frozenset({0, 2}), frozenset({2, 3, 4}))
-    assert carve_one({2, 3, 4}, cut2) == frozenset({2, 3, 4})
+def carve_one(t_set, cut):
+    """Carving along a single cut: (T \\ L) ∪ (L ∩ R)."""
+    return (frozenset(t_set) - cut.L) | cut.separator
 
 
 def test_carve_many_matches_carve_one_for_single_cut():
@@ -145,10 +140,25 @@ def test_carve_many_matches_carve_one_for_single_cut():
 
 
 def lean_certificate_ok(g, t_set, cut):
-    paths = disjoint_paths_certificate(
-        g, cut.separator, cut.L & t_set, cut.L, len(cut.separator)
-    )
-    return paths is not None
+    """Menger's condition for leanness, checked exhaustively: in G[L], no
+    vertex set smaller than L∩R separates L∩R from L∩T (a set may contain
+    endpoints, which then no longer count)."""
+    sep = cut.separator
+    ends = cut.L & t_set
+    for size in range(len(sep)):
+        for z in combinations(sorted(cut.L), size):
+            alive = cut.L - set(z)
+            seen = set(sep & alive)
+            stack = list(seen)
+            while stack:
+                v = stack.pop()
+                for u in g.adj[v]:
+                    if u in alive and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if not seen & ends:
+                return False
+    return True
 
 
 def test_make_lean_star_example():

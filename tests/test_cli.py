@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qktree.cli import generate_graph, main
 from qktree.core import is_connected, parse_edge_list
@@ -136,14 +142,6 @@ def test_bench_schema_and_structural_determinism(capsys):
     assert strip(out1) == strip(out2)
 
 
-def test_threads_flag_validation(gnp_file, capsys):
-    code, _, err = run(capsys, "--threads", "0", "gen", "--model", "path",
-                       "--n", "4")
-    assert code == 1 and "threads" in err
-    code, _, _ = run(capsys, "--threads", "1", "gen", "--model", "path", "--n", "4")
-    assert code == 0
-
-
 def test_ssmc_source_out_of_range_exits_one(tmp_path, capsys):
     path = write_graph(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
     code, out, err = run(capsys, "ssmc", path, "--source", "7", "--sinks", "1",
@@ -194,3 +192,119 @@ def test_bench_default_model_exits_zero(capsys):
     assert [ln.split(",")[1] for ln in out.splitlines()[1:]] == [
         "origin", "adhesion", "decomp", "dp"
     ]
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bench_size_zero_exits_one(capsys):
+    assert_one_error_line(*run(capsys, "bench", "--sizes", "0"))
+
+
+def test_decompose_unwritable_out_exits_one(gnp_file, capsys):
+    assert_one_error_line(*run(capsys, "decompose", gnp_file, "--k", "1",
+                               "--out", "/nonexistent/x.json"))
+
+
+def test_gen_unwritable_out_exits_one(capsys):
+    assert_one_error_line(*run(capsys, "gen", "--model", "path", "--n", "3",
+                               "--out", "/nonexistent/x"))
+
+
+# --- fuzzing every verb with small graphs, malformed input and odd flags
+
+def _edge_list(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    if draw(st.booleans()):  # malformed: one line replaced or dropped
+        bad = draw(st.sampled_from(
+            ["", "x y", "1", "0 0 0", "-3 0", "2 -1", "3 3", "1.5 2", "# c"]
+        ))
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [bad] if bad else []
+    return "\n".join(lines) + "\n"
+
+
+_INTS = st.sampled_from(["-1", "0", "1", "2", "3", "9", "x"])
+_K = st.sampled_from(["-1", "0", "1", "2"])
+_EPS = st.sampled_from(["1", "1", "1/2", "1/3", "0", "2", "1/0", "x"])
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, file contents) of one CLI run; "{g}", "{d}" and "{dir}" in
+    argv stand for the graph file, the decomposition file and a directory."""
+    files = {"g": _edge_list(draw)}
+    verb = draw(st.sampled_from(
+        ["decompose", "verify", "pwaycut", "ssmc", "gen", "bench"]
+    ))
+    out = ["--out", draw(st.sampled_from(["{dir}/out", "/nonexistent/out", "-"]))]
+    if verb == "decompose":
+        argv = ["decompose", "{g}", "--k", draw(_K), "--epsilon", draw(_EPS),
+                "--variant", draw(st.sampled_from(["standard", "depth-reduced"])),
+                "--seed", draw(_INTS)] + out
+        if draw(st.booleans()):
+            argv.append("--verify")
+    elif verb == "verify":
+        files["g"] = draw(st.sampled_from([files["g"], "3 2\n0 1\n1 2\n"]))
+        files["d"] = draw(st.sampled_from([
+            "", "[]", "{}", "nope", '{"n": 2, "nodes": []}',
+            '{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
+            '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}',
+            '{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
+            '[{"id": 0, "parent": 5, "bag": [0, "a"]}]}',
+        ]))
+        argv = ["verify", "{g}", "{d}", "--k", draw(_K), "--epsilon", draw(_EPS)]
+    elif verb == "pwaycut":
+        argv = ["pwaycut", "{g}", "--p", draw(_INTS), "--k", draw(_K),
+                "--epsilon", draw(_EPS), "--seed", draw(_INTS)]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+    elif verb == "ssmc":
+        sinks = draw(st.lists(_INTS, max_size=3))
+        argv = ["ssmc", "{g}", "--source", draw(_INTS), "--sinks",
+                ",".join(sinks), "--k", draw(_K), "--seed", draw(_INTS)]
+    elif verb == "gen":
+        argv = ["gen", "--model",
+                draw(st.sampled_from(["gnp", "grid", "barbell", "path", "tree"])),
+                "--n", draw(_INTS), "--prob", draw(st.sampled_from(
+                    ["0", "0.3", "1", "-1", "nan"])), "--seed", draw(_INTS)] + out
+    else:
+        sizes = draw(st.lists(_INTS, min_size=0, max_size=2))
+        argv = ["bench", "--model",
+                draw(st.sampled_from(["gnp", "grid", "barbell", "path", "tree"])),
+                "--sizes", ",".join(sizes), "--k", draw(_K),
+                "--epsilon", draw(_EPS)] + out
+    if draw(st.booleans()) and "{g}" in argv:
+        argv[argv.index("{g}")] = "/nonexistent/g.txt"
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs())
+def test_cli_fuzz_never_raises(run_spec):
+    """Every run exits 0-3; exit 1 prints one "error:" line; nothing
+    escapes main() as an exception (the CLI would print a traceback)."""
+    argv, files = run_spec
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dir": tmp}
+        for name, text in files.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w") as fh:
+                fh.write(text)
+        argv = [a.format(**paths) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag: exit 2
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

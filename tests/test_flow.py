@@ -10,7 +10,6 @@ from qktree.flow import (
     CapacitatedGraph,
     PreconditionError,
     bounded_vertex_maxflow,
-    disjoint_paths_certificate,
     minimal_side_mincut,
     unit_capacities,
     with_new_vertices,
@@ -235,60 +234,57 @@ def test_determinism():
     assert r1.mincut == r2.mincut and r1.value == r2.value
 
 
+def max_disjoint_paths(g, a, b):
+    """Largest number of pairwise vertex-disjoint paths from a to b (an
+    endpoint counts as a vertex of its path), by exhaustive search over
+    the simple paths: the other side of Menger's theorem."""
+    paths = []
+
+    def extend(path):
+        if path[-1] in b:
+            paths.append(frozenset(path))
+            return
+        for u in g.adj[path[-1]]:
+            if u not in path and u not in a:
+                extend(path + [u])
+
+    for v in a:
+        extend([v])
+
+    def pack(start, used):
+        best = 0
+        for i in range(start, len(paths)):
+            if not paths[i] & used:
+                best = max(best, 1 + pack(i + 1, used | paths[i]))
+        return best
+
+    return pack(0, frozenset())
+
+
+def cuttable_endpoint_flow(g, a, b):
+    return bounded_vertex_maxflow(
+        unit_capacities(g), a, b, g.n, cut_sources=True, cut_sinks=True
+    ).value
+
+
 def test_disjoint_paths_two_disjoint_edges():
     g = Graph(4, [(0, 1), (2, 3)])
-    paths = disjoint_paths_certificate(g, {0, 2}, {1, 3}, set(range(4)), 2)
-    assert paths is not None and len(paths) == 2
-    used = set()
-    for p in paths:
-        assert not (set(p) & used)
-        used |= set(p)
+    assert cuttable_endpoint_flow(g, {0, 2}, {1, 3}) == 2
+    assert max_disjoint_paths(g, {0, 2}, {1, 3}) == 2
 
 
 def test_disjoint_paths_blocked_by_cut_vertex():
     g = Graph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
-    assert disjoint_paths_certificate(g, {0, 1}, {3, 4}, set(range(5)), 2) is None
-
-
-def test_disjoint_paths_trivial_overlap():
-    g = path_graph(3)
-    # any path from 0 passes through 1, so two disjoint paths are impossible
-    assert disjoint_paths_certificate(g, {0, 1}, {1, 2}, {0, 1, 2}, 2) is None
-    paths = disjoint_paths_certificate(g, {0, 1}, {1, 2}, {0, 1, 2}, 1)
-    assert paths == [[1]]
-    # with the cut vertex as its own path plus a detour, two paths fit
-    square = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    paths = disjoint_paths_certificate(square, {0, 1}, {1, 2}, {0, 1, 2, 3}, 2)
-    assert paths is not None and len(paths) == 2
-    used = set()
-    for p in paths:
-        assert not (set(p) & used)
-        used |= set(p)
+    assert cuttable_endpoint_flow(g, {0, 1}, {3, 4}) == 1
+    assert max_disjoint_paths(g, {0, 1}, {3, 4}) == 1
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_disjoint_paths_match_flow_value(seed):
+    """With both endpoint sets cuttable and unit capacities, the flow value
+    is the largest number of fully vertex-disjoint paths (Menger)."""
     inst = random_instance(seed + 777000)
     if inst is None:
         return
     g, a, b = inst
-    # the auxiliary construction: unit caps with the endpoints cuttable, so
-    # the flow value is exactly the maximum number of fully-disjoint paths
-    res = bounded_vertex_maxflow(
-        unit_capacities(g), a, b, g.n, cut_sources=True, cut_sinks=True
-    )
-    value = res.value
-    assert value != EXCEEDS_BOUND
-    if value > 0:
-        paths = disjoint_paths_certificate(g, a, b, set(range(g.n)), value)
-        assert paths is not None and len(paths) == value
-        used = set()
-        for p in paths:
-            assert p[0] in a and p[-1] in b
-            assert not (set(p) & used)
-            used |= set(p)
-            for x, y in zip(p, p[1:]):
-                assert g.has_edge(x, y)
-    assert (
-        disjoint_paths_certificate(g, a, b, set(range(g.n)), value + 1) is None
-    )
+    assert cuttable_endpoint_flow(g, a, b) == max_disjoint_paths(g, a, b)

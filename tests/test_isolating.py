@@ -4,6 +4,7 @@ import pytest
 
 from qktree.core import Graph
 from qktree.flow import (
+    EXCEEDS_BOUND,
     INF,
     CapacitatedGraph,
     PreconditionError,
@@ -105,3 +106,35 @@ def test_ordered_disjoint_predicate():
     assert ordered_disjoint(a, b) and ordered_disjoint(b, a)
     c = VertexCut(frozenset({0, 1, 2}), frozenset({2, 3}))
     assert not ordered_disjoint(c, b)
+
+
+def test_minimal_terminal_cuts_are_pairwise_disjoint():
+    """Each terminal's minimal cut against the others, bounded like the
+    ones single_source_mincut_cover keeps, is ordered-disjoint from every
+    other terminal's, with no repair needed: with INF terminals and mixed
+    finite capacities (some INF non-terminals too), and with unit-capacity
+    terminals as `qktree ssmc` passes them."""
+    checked = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        inst = random_terminal_instance(seed, max_n=10, max_t=5)
+        if inst is None:
+            continue
+        g, terms = inst
+        mixed = tuple(
+            INF if v in terms or rng.random() < 0.1 else rng.randint(1, 3)
+            for v in range(g.n)
+        )
+        for caps in (mixed, (1,) * g.n):
+            cg = CapacitatedGraph(g, caps)
+            bound = rng.randint(1, 4)
+            cuts = []
+            for t in terms:
+                res = bounded_vertex_maxflow(
+                    cg, {t}, set(terms) - {t}, bound
+                )
+                if res.value != EXCEEDS_BOUND:
+                    cuts.append(res.mincut)
+            assert pairwise_disjoint(cuts), (seed, caps, g.edges(), terms)
+            checked += len(cuts) > 1
+    assert checked > 1000

@@ -101,3 +101,43 @@ def test_determinism():
     b = single_source_mincut_cover(cg, s, sinks, 2, random.Random(7))
     assert a[1] == b[1]
     assert a[0].collections == b[0].collections
+
+
+def test_sinks_cut_off_from_the_source():
+    # source 0 with sink 2 behind vertex 1; sinks 8 and 9 in component
+    # {3, 4, 8, 9}, sink 5 in component {5, 6}; vertex 7 holds no sink.
+    # By smallest member {3, 4, 8, 9} comes first, by smallest sink {5, 6}.
+    g = Graph(10, [(0, 1), (1, 2), (3, 4), (3, 8), (4, 9), (5, 6)])
+    sinks = {2, 5, 8, 9}
+    cg = caps_with_inf(g, {0} | sinks)
+    everything = frozenset(range(g.n))
+    for k in (0, 1, 2):
+        cover, captured = single_source_mincut_cover(
+            cg, 0, sinks, k, random.Random(k)
+        )
+        component_cuts = [
+            (comp, everything - comp)
+            for comp in (frozenset({3, 4, 8, 9}), frozenset({5, 6}))
+        ]
+        assert [(c.L, c.R) for c in cover.collections[0]] == component_cuts
+        if k == 0:
+            assert captured == {5, 8, 9} and cover.width == 1
+            continue
+        assert captured == sinks
+        later = [cut for coll in cover.collections[1:] for cut in coll]
+        assert later and all(
+            cut.separator == {1} and cut.left_only == {2} for cut in later
+        )
+        problems = check_cover_properties(
+            g, cg, 0, captured, cover, lambda t: lam(cg, t, 0)
+        )
+        assert not problems
+
+
+def test_negative_k_is_refused():
+    # no sink has lambda(t, s) <= k < 0, not even one cut off from s
+    g = Graph(4, [(0, 1)])
+    with pytest.raises(ValueError):
+        single_source_mincut_cover(
+            caps_with_inf(g, {0, 2, 3}), 0, {2, 3}, -1, random.Random(0)
+        )
