@@ -133,14 +133,9 @@ def make_lean(ctx: WitnessContext, cuts: CutCollection) -> CutCollection:
             # single-vertex paths
             out.append(cut)
             continue
-        drop = [
-            (u, v)
-            for u in cut.separator
-            for v in g.adj[u]
-            if u < v and v in cut.separator
-        ]
-        local_vs = cut.L - overlap
-        sub, ids = induced_subgraph(g, local_vs, drop_edges=drop)
+        sub, ids = induced_subgraph(
+            g, cut.L - overlap, drop_within=cut.separator
+        )
         pos = {v: i for i, v in enumerate(ids)}
         cg = CapacitatedGraph(sub, tuple(1 for _ in ids))
         res = minimal_side_mincut(

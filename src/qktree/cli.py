@@ -155,13 +155,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_pwaycut(args) -> int:
     g = parse_edge_list(_read(args.graph))
+    # the oracle runs first, so a refused oracle prints no result
+    oracle = brute_pway_cut(g, args.p, args.k) if args.oracle else None
     res = min_pway_cut(
         g, args.p, args.k, args.epsilon,
         rng=random.Random(args.seed), seed=args.seed,
     )
     sys.stdout.write(_json_line(res.to_json_dict()))
     if args.oracle:
-        oracle = brute_pway_cut(g, args.p, args.k)
         agrees = (
             (oracle == INFEASIBLE and not res.feasible)
             or (oracle != INFEASIBLE and res.feasible and res.cost == oracle)

@@ -9,9 +9,10 @@ CUT_ENUM_LIMIT = 12
 # Largest graph accepted by the carvable-vertex oracle.
 CARVABLE_ENUM_LIMIT = 10
 
-# Edge budget for the brute-force p-way cut oracle: enumerate C(m, <=k) subsets.
-BRUTE_PWAY_EDGE_LIMIT = 20
-BRUTE_PWAY_K_LIMIT = 4
+# Largest number of edge subsets, sum of C(m, i) for i <= k, that the
+# brute-force p-way cut oracle enumerates: 46-60 µs each on a 2-core host,
+# so a few seconds at the limit.
+BRUTE_PWAY_SUBSET_LIMIT = 100_000
 
 # Middle-loop repetition constant in the single-source mincut cover
 # (the loop runs C_MID * ceil(log2 n)^2 times). Tuned down empirically:

@@ -261,19 +261,20 @@ def is_balanced(g: Graph, x: Iterable[int], alpha) -> bool:
 
 
 def induced_subgraph(
-    g: Graph, vs: Iterable[int], drop_edges: Iterable[Tuple[int, int]] = ()
+    g: Graph, vs: Iterable[int], drop_within: Iterable[int] = ()
 ) -> Tuple[Graph, List[int]]:
-    """Subgraph induced on vs (minus drop_edges), relabeled 0..|vs|-1.
+    """Subgraph induced on vs, minus the edges with both ends in
+    drop_within, relabeled 0..|vs|-1.
 
     Returns (subgraph, id_map) where id_map[new_id] = original vertex.
     """
     ids = sorted(set(vs))
     pos: Dict[int, int] = {v: i for i, v in enumerate(ids)}
-    dropped = {(min(u, v), max(u, v)) for u, v in drop_edges}
+    drop = set(drop_within)
     edges = []
     for v in ids:
         for u in g.adj[v]:
-            if u in pos and v < u and (v, u) not in dropped:
+            if u in pos and v < u and not (v in drop and u in drop):
                 edges.append((pos[v], pos[u]))
     return Graph(len(ids), edges), ids
 

@@ -219,13 +219,7 @@ def decompose(
         node = deco.add_node(parent, frozenset(ids[v] for v in x))
         for d in reversed(connected_components(h, x)):
             boundary = neighborhood(h, d)
-            drop = [
-                (u, v)
-                for u in boundary
-                for v in h.adj[u]
-                if v in boundary and u < v
-            ]
-            sub, sub_ids = induced_subgraph(h, d | boundary, drop_edges=drop)
+            sub, sub_ids = induced_subgraph(h, d | boundary, drop_within=boundary)
             pos = {v: i for i, v in enumerate(sub_ids)}
             local_b = frozenset(pos[v] for v in boundary)
             stack.append((sub, [ids[v] for v in sub_ids], local_b, node))

@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import config
 from .carving import color_family_general
@@ -152,7 +152,25 @@ class PwayCutSolver:
             return self._exact_vector(t, f)
         return self._coded_vector(t, f)
 
-    # ---- children chain (shared) ---------------------------------------
+    # ---- child merges (shared) -----------------------------------------
+
+    def _merge(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
+        """Saturating min-plus subset convolution: per mask m, the minimum
+        of a[s] + b[m ^ s] over the submasks s of m, so the colors of m are
+        split between the two parts; infeasible entries of `a` are skipped
+        and every value saturates at k+1."""
+        inf = self.inf
+        out = []
+        for m, subs in enumerate(self.submasks):
+            best = inf
+            for s in subs:
+                cost = a[s]
+                if cost < inf:
+                    cand = cost + b[m ^ s]
+                    if cand < best:
+                        best = cand
+            out.append(best)
+        return out
 
     def _chain(
         self, children: List[Tuple[int, Tuple[int, ...]]],
@@ -160,22 +178,9 @@ class PwayCutSolver:
     ) -> Tuple[int, ...]:
         """Minimum total child cost per required-color mask: colors of the
         mask must be realized somewhere below, split among the children."""
-        inf = self.inf
-        d = [inf] * (self.full + 1)
-        d[0] = 0
+        d = [0] + [self.inf] * self.full
         for (cid, _), part in zip(children, profile):
-            cvec = self.vector(cid, part)
-            nd = [inf] * (self.full + 1)
-            for m, subs in enumerate(self.submasks):
-                best = inf
-                for s in subs:
-                    c_cost = cvec[s]
-                    if c_cost < inf:
-                        cand = c_cost + d[m ^ s]
-                        if cand < best:
-                            best = cand
-                nd[m] = best
-            d = nd
+            d = self._merge(self.vector(cid, part), d)
         return tuple(d)
 
     # ---- exact regime ---------------------------------------------------
@@ -389,38 +394,16 @@ class PwayCutSolver:
         p, inf = self.p, self.inf
         nb = len(info.bag)
         # auxiliary graph: bag cost edges plus a clique per child adhesion
-        adj: List[set] = [set() for _ in range(nb)]
-        for a, b in info.cost_edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        for _, adh_l in info.children:
-            for i, a in enumerate(adh_l):
-                for b in adh_l[i + 1:]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        alive = [l for l in range(nb) if gp[l] != p]
-        alive_set = set(alive)
-        comp_idx = {}
-        comps: List[List[int]] = []
-        for start in alive:
-            if start in comp_idx:
-                continue
-            comp = []
-            stack = [start]
-            comp_idx[start] = len(comps)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in adj[v]:
-                    if u in alive_set and u not in comp_idx:
-                        comp_idx[u] = len(comps)
-                        stack.append(u)
-            comps.append(sorted(comp))
+        aux = Graph(nb, info.cost_edges + [
+            pair for _, adh_l in info.children for pair in combinations(adh_l, 2)
+        ])
+        comps = connected_components(aux, [l for l in range(nb) if gp[l] == p])
+        comp_of = {l: i for i, comp in enumerate(comps) for l in comp}
 
         attached: List[List[int]] = [[] for _ in comps]
         group0: List[int] = []
         for ci, (_, adh_l) in enumerate(info.children):
-            hits = {comp_idx[l] for l in adh_l if l in alive_set}
+            hits = {comp_of[l] for l in adh_l if l in comp_of}
             # each child adhesion is a clique here, so it meets at most one
             # component of the non-heavy part
             assert len(hits) <= 1, "child adhesion meets several components"
@@ -429,85 +412,40 @@ class PwayCutSolver:
             else:
                 group0.append(ci)
 
-        adh_local_set = set(info.adh_local)
-        flip_cost = [0] * len(comps)
-        comp_colors = [0] * len(comps)
-        forced = [False] * len(comps)
-        for i, comp in enumerate(comps):
-            cset = set(comp)
-            cost = 0
-            for a, b in info.cost_edges:
-                ina, inb = a in cset, b in cset
-                if ina and inb:
-                    if gp[a] != gp[b]:
-                        cost += 1
-                elif ina or inb:
-                    cost += 1
-            flip_cost[i] = cost
-            mask = 0
-            for l in comp:
-                mask |= 1 << (gp[l] - 1)
-            comp_colors[i] = mask
-            forced[i] = any(l in adh_local_set for l in comp)
+        # keeping a component's colors pays its bichromatic edges: those
+        # inside it and all that leave it (their other end is heavy)
+        keep_cost = [0] * len(comps)
+        for a, b in info.cost_edges:
+            if gp[a] != gp[b]:
+                keep_cost[comp_of[a] if a in comp_of else comp_of[b]] += 1
 
-        masks = range(self.full + 1)
-        cur: Dict[Tuple[int, int], int] = {
-            (m, b): (0 if m == 0 else inf) for m in masks for b in (0, 1)
-        }
-
-        def child_step(
-            row: Dict[Tuple[int, int], int], ci: int,
-            f0: Tuple[int, ...], f1: Tuple[int, ...], forbid0: bool,
-        ) -> Dict[Tuple[int, int], int]:
-            cid = info.children[ci][0]
-            vec0 = None if forbid0 else self.vector(cid, f0)
-            vec1 = self.vector(cid, f1)
-            new: Dict[Tuple[int, int], int] = {}
-            for m in masks:
-                best0 = inf
-                best1 = inf
-                for s in self.submasks[m]:
-                    if vec0 is not None:
-                        c0 = vec0[s]
-                        if c0 < inf:
-                            cand = c0 + row[(m ^ s, 0)]
-                            if cand < best0:
-                                best0 = cand
-                    c1 = vec1[s]
-                    if c1 < inf:
-                        cand = c1 + row[(m ^ s, 1)]
-                        if cand < best1:
-                            best1 = cand
-                new[(m, 0)] = best0
-                new[(m, 1)] = best1
-            return new
-
+        row = [0] + [inf] * self.full
         for ci in group0:
-            adh_len = len(info.children[ci][1])
-            f_p = (p,) * adh_len
-            cur = child_step(cur, ci, f_p, f_p, False)
-
-        for i in range(1, len(comps) + 1):
-            fc = flip_cost[i - 1]
-            icols = comp_colors[i - 1]
-            new: Dict[Tuple[int, int], int] = {}
-            for m in masks:
-                if forced[i - 1]:
-                    v0 = inf  # a component touching the adhesion must flip
-                else:
-                    v0 = min(cur[(m, 0)], cur[(m, 1)])
-                mprev = m & ~icols
-                v1 = min(cur[(mprev, 0)], cur[(mprev, 1)]) + fc
-                new[(m, 0)] = v0
-                new[(m, 1)] = min(v1, inf)
-            cur = new
-            for ci in attached[i - 1]:
-                adh_l = info.children[ci][1]
-                f0 = (p,) * len(adh_l)
-                f1 = tuple(gp[l] for l in adh_l)
-                cur = child_step(cur, ci, f0, f1, forced[i - 1])
-
-        return [min(cur[(m, 0)], cur[(m, 1)]) for m in masks]
+            cid, adh_l = info.children[ci]
+            row = self._merge(self.vector(cid, (p,) * len(adh_l)), row)
+        # per mask, the minimum cost so far with the last component flipped
+        # to the heavy color, and with it keeping its colors
+        flipped = stayed = row
+        for i, comp in enumerate(comps):
+            colors = 0
+            for l in comp:
+                colors |= 1 << (gp[l] - 1)
+            best = [min(x, y) for x, y in zip(flipped, stayed)]
+            # a component that meets the adhesion keeps the colors f gave it
+            forced = not comp.isdisjoint(info.adh_local)
+            flipped = [inf] * (self.full + 1) if forced else best
+            stayed = [min(best[m & ~colors] + keep_cost[i], inf)
+                      for m in range(self.full + 1)]
+            for ci in attached[i]:
+                cid, adh_l = info.children[ci]
+                if not forced:
+                    flipped = self._merge(
+                        self.vector(cid, (p,) * len(adh_l)), flipped
+                    )
+                stayed = self._merge(
+                    self.vector(cid, tuple(gp[l] for l in adh_l)), stayed
+                )
+        return [min(x, y) for x, y in zip(flipped, stayed)]
 
 
 def min_pway_cut(

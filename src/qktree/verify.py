@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional, Tuple
@@ -235,12 +236,9 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
         bag = deco.bag(t)
         if not bag:
             continue
-        gamma = deco.cone(t)
-        sigma = deco.adhesion_set(t)
-        drop = [
-            (u, v) for u in sigma for v in g.adj[u] if v in sigma and u < v
-        ]
-        sub, ids = induced_subgraph(g, gamma, drop_edges=drop)
+        sub, ids = induced_subgraph(
+            g, deco.cone(t), drop_within=deco.adhesion_set(t)
+        )
         pos = {v: i for i, v in enumerate(ids)}
         local_bag = [pos[v] for v in bag]
         try:
@@ -264,9 +262,11 @@ def brute_pway_cut(g: Graph, p: int, k: int):
     Returns the minimum cost (int) if some subset of <= k edge deletions
     yields >= p components, else "INFEASIBLE".
     """
-    if g.m > config.BRUTE_PWAY_EDGE_LIMIT and k > config.BRUTE_PWAY_K_LIMIT:
+    subsets = sum(math.comb(g.m, i) for i in range(min(k, g.m) + 1))
+    if subsets > config.BRUTE_PWAY_SUBSET_LIMIT:
         raise SizeGuardError(
-            f"m={g.m}, k={k} exceeds the brute-force budget"
+            f"m={g.m}, k={k} gives {subsets} edge subsets, over the "
+            f"brute-force limit {config.BRUTE_PWAY_SUBSET_LIMIT}"
         )
     edges = g.edges()
     for cost in range(0, min(k, g.m) + 1):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,16 @@ def test_gen_unwritable_out_exits_one(capsys):
                                "--out", "/nonexistent/x"))
 
 
+def test_pwaycut_oracle_beyond_its_limit_exits_one(tmp_path, capsys):
+    # a 6x6 grid has m = 60, so k = 4 would mean 523,686 edge subsets
+    code, out, _ = run(capsys, "gen", "--model", "grid", "--n", "36")
+    path = write_graph(tmp_path, "grid36.txt", out)
+    code, out, err = run(capsys, "pwaycut", path, "--p", "2", "--k", "4",
+                         "--oracle")
+    assert_one_error_line(code, out, err)
+    assert "SIZE_GUARD" in err
+
+
 # --- fuzzing every verb with small graphs, malformed input and odd flags
 
 def _edge_list(draw):
@@ -288,7 +299,10 @@ def cli_runs(draw):
 @given(cli_runs())
 def test_cli_fuzz_never_raises(run_spec):
     """Every run exits 0-3; exit 1 prints one "error:" line; nothing
-    escapes main() as an exception (the CLI would print a traceback)."""
+    escapes main() as an exception (the CLI would print a traceback).
+    A second run with the same seeds, and a run that reads the graph from
+    stdin ("-"), give the same exit code and byte-identical output (bench
+    without its time column)."""
     argv, files = run_spec
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"dir": tmp}
@@ -296,15 +310,33 @@ def test_cli_fuzz_never_raises(run_spec):
             paths[name] = os.path.join(tmp, name)
             with open(paths[name], "w") as fh:
                 fh.write(text)
-        argv = [a.format(**paths) for a in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects a flag: exit 2
-                code = exc.code
-    err = err.getvalue()
-    assert code in (0, 1, 2, 3), (argv, code, err)
-    assert "Traceback" not in err
-    if code == 1:
-        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        out_file = os.path.join(tmp, "out")
+
+        def once(args, stdin=""):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch("sys.stdin", io.StringIO(stdin)):
+                try:
+                    code = main([a.format(**paths) for a in args])
+                except SystemExit as exc:  # argparse rejects a flag: exit 2
+                    code = exc.code
+            written = ""
+            if os.path.exists(out_file):
+                with open(out_file) as fh:
+                    written = fh.read()
+                os.remove(out_file)
+            outputs = [out.getvalue(), written]
+            if args[0] == "bench":
+                outputs = [[ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+                           for text in outputs]
+            return code, outputs, err.getvalue()
+
+        code, outputs, err = once(argv)
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert once(argv)[:2] == (code, outputs), argv
+        if "{g}" in argv:
+            piped = ["-" if a == "{g}" else a for a in argv]
+            assert once(piped, files["g"])[:2] == (code, outputs), argv

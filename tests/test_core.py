@@ -163,8 +163,12 @@ def test_vertex_cut_validity():
     assert not VertexCut(frozenset({0, 1}), frozenset({2, 3})).is_valid(g)
 
 
-def test_induced_subgraph_with_drop_edges():
+def test_induced_subgraph_with_drop_within():
     g = cycle_graph(5)
-    h, ids = induced_subgraph(g, {0, 1, 2}, drop_edges=[(1, 2)])
+    h, ids = induced_subgraph(g, {0, 1, 2}, drop_within={1, 2})
     assert ids == [0, 1, 2]
     assert h.edges() == [(0, 1)]
+    # only edges with both ends in the set go: (3, 4) stays
+    h, ids = induced_subgraph(g, {0, 1, 3, 4}, drop_within={0, 1, 2, 4})
+    assert ids == [0, 1, 3, 4]
+    assert h.edges() == [(2, 3)]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qktree import config
-from qktree.core import Graph, induced_subgraph
+from qktree.core import Graph, SizeGuardError, induced_subgraph
 from qktree.decomp import VARIANT_STANDARD, decompose, variant_parameters
 from qktree.pwaycut import PwayCutSolver, min_pway_cut
 from qktree.verify import brute_pway_cut
@@ -13,6 +13,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     gnp,
+    grid_graph,
     path_graph,
     petersen_graph,
     star_graph,
@@ -84,6 +85,39 @@ def test_random_agreement_with_brute_force(seed):
             check_against_oracle(g, p, k, seed * 31 + p * 5 + k)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_merge_is_a_saturating_subset_convolution(p):
+    rng = random.Random(p)
+    g = path_graph(3)
+    deco, _ = decompose(g, 1, 1, seed=0)
+    for k in range(5):
+        solver = PwayCutSolver(g, deco, p, k, 1, 1, rng)
+        inf = k + 1
+        for _ in range(20):
+            a = [rng.randint(0, inf) for _ in range(1 << p)]
+            b = [rng.randint(0, inf) for _ in range(1 << p)]
+            merged = solver._merge(a, b)
+            expect = [
+                min([inf] + [
+                    a[s] + b[m ^ s]
+                    for s in range(m + 1) if s & m == s and a[s] < inf
+                ])
+                for m in range(1 << p)
+            ]
+            assert merged == expect, (p, k, a, b)
+            assert max(merged) <= inf
+
+
+def test_brute_force_refuses_too_many_edge_subsets():
+    # m = 60 at k = 4 is 523,686 edge subsets
+    with pytest.raises(SizeGuardError):
+        brute_pway_cut(grid_graph(6, 6), 2, 4)
+    # the benchmark's largest graphs (m = 26, k = 4: 17,902 subsets) and
+    # the criterion 3 corpus (m <= 20, k <= 4) stay under the limit
+    assert brute_pway_cut(path_graph(27), 27, 4) == BRUTE_INFEASIBLE
+    assert brute_pway_cut(path_graph(21), 21, 4) == BRUTE_INFEASIBLE
+
+
 def brute_vector(g, deco, t, f, p, k):
     """M[t, f, .] by exhaustion: per mask, the minimum cost over all
     p-colorings of G_t respecting f and realizing every color of the mask,
@@ -91,8 +125,7 @@ def brute_vector(g, deco, t, f, p, k):
     and a partial coloring that already costs more than k is dropped."""
     gamma = sorted(deco.cone(t))
     sigma = sorted(deco.adhesion_set(t))
-    drop = [(u, v) for u in sigma for v in g.adj[u] if v in set(sigma) and u < v]
-    sub, ids = induced_subgraph(g, gamma, drop_edges=drop)
+    sub, ids = induced_subgraph(g, gamma, drop_within=sigma)
     pos = {v: i for i, v in enumerate(ids)}
     fixed = {pos[v]: c for v, c in zip(sigma, f)}
     order = sorted(range(sub.n), key=lambda v: v not in fixed)
