@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,7 +94,18 @@ class PwayCutSolver:
     f, uses every color of I somewhere in G_t, and costs at most k; values
     saturate at k+1 (infeasible). f is a tuple of colors (1..p) aligned with
     the sorted adhesion set of t; I is a bitmask with bit c-1 for color c.
-    `vectors` holds the full vector over all 2^p masks per computed (t, f)."""
+    `vectors` holds the full vector over all 2^p masks per demanded (t, f)
+    and per canonical (t, f) computed for one.
+
+    The table is symmetric in the colors: for every permutation pi of 1..p,
+    M[t, pi(f), pi(I)] = M[t, f, I], since the bag cost depends only on
+    which endpoints differ in color, and the children are symmetric by
+    induction. So only the canonical coloring of each class is computed,
+    the one whose colors are numbered by first occurrence in f ((3, 1, 3)
+    becomes (1, 2, 1)); any other f is its canonical vector with the masks
+    permuted, stored under f's own key. Inside `_exact_vector` the same
+    symmetry, restricted to the colors f does not use, cuts the colorings
+    to enumerate."""
 
     def __init__(
         self,
@@ -121,9 +132,20 @@ class PwayCutSolver:
         self.popcount = [bin(m).count("1") for m in range(self.full + 1)]
         # per node, built on first use by the exact regime
         self.shapes: List[Optional[List[tuple]]] = [None] * len(self.info)
-        self.chains: List[Dict[Tuple, Tuple[int, ...]]] = [{} for _ in self.info]
+        empty = (0,) + (self.inf,) * self.full
+        self.chains: List[Dict[Tuple, Tuple[int, ...]]] = [
+            {(): empty} for _ in self.info
+        ]
         # one stored copy of each equal tuple kept in `chains`
         self.shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        # f -> (canonical f, image of each mask under the relabeling)
+        self.canon: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], List[int]]] = {}
+        # (components, colors of f as a mask) -> colorings up to free colors
+        self.colorings: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+        # colors of f as a mask -> the orbits of more than one mask
+        self.orbits: Dict[int, List[List[int]]] = {}
+        # per node, the flip DP's auxiliary graph, built on first use
+        self.aux: Dict[int, Graph] = {}
 
     # ---- public entry -------------------------------------------------
 
@@ -132,12 +154,40 @@ class PwayCutSolver:
         return self.vector(t, f)[imask]
 
     def vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
-        """M[t, f, .] over all masks, computed on first demand."""
+        """M[t, f, .] over all masks, computed on first demand: the
+        canonical coloring's vector, read through the relabeling."""
         vec = self.vectors.get((t, f))
         if vec is None:
-            vec = self._compute_vector(t, f)
+            canon, image = self._canonical(f)
+            if canon == f:
+                vec = self._compute_vector(t, f)
+            else:
+                base = self.vector(t, canon)
+                vec = tuple([base[m] for m in image])
             self.vectors[(t, f)] = vec
         return vec
+
+    def _canonical(self, f: Tuple[int, ...]) -> Tuple[Tuple[int, ...], List[int]]:
+        """f with its colors numbered by first occurrence, and the image of
+        every mask under that relabeling (the colors f does not use keep
+        their order after the ones it does)."""
+        hit = self.canon.get(f)
+        if hit is None:
+            relabel: Dict[int, int] = {}
+            for col in f + tuple(range(1, self.p + 1)):
+                relabel.setdefault(col, len(relabel) + 1)
+            hit = self.canon[f] = (
+                tuple(relabel[col] for col in f), self._mask_image(relabel)
+            )
+        return hit
+
+    def _mask_image(self, relabel) -> List[int]:
+        """The image of every mask when each color c becomes relabel[c]."""
+        image = [0]
+        for col in range(1, self.p + 1):
+            bit = 1 << (relabel[col] - 1)
+            image += [m | bit for m in image]
+        return image
 
     # ---- regime dispatch ----------------------------------------------
 
@@ -173,15 +223,31 @@ class PwayCutSolver:
         return out
 
     def _chain(
-        self, children: List[Tuple[int, Tuple[int, ...]]],
-        profile: Tuple[Tuple[int, ...], ...],
+        self, t: int, profile: Tuple[Tuple[int, ...], ...],
     ) -> Tuple[int, ...]:
-        """Minimum total child cost per required-color mask: colors of the
-        mask must be realized somewhere below, split among the children."""
-        d = [0] + [self.inf] * self.full
-        for (cid, _), part in zip(children, profile):
-            d = self._merge(self.vector(cid, part), d)
-        return tuple(d)
+        """Minimum total cost of node t's children per required-color mask,
+        where child i gets adhesion coloring profile[i]: colors of the mask
+        must be realized somewhere below, split among the children.
+
+        The fold is cached in `chains` after every child, keyed by the
+        profile's prefix, since a node's profiles share prefixes. Chains
+        live as long as the solver, and a node has many profiles but few
+        distinct parts and chain vectors, so one copy of each is kept."""
+        chains = self.chains[t]
+        d = chains.get(profile)
+        if d is None:
+            done = len(profile) - 1
+            while profile[:done] not in chains:
+                done -= 1
+            d = chains[profile[:done]]
+            share = self.shared.setdefault
+            children = self.info[t].children
+            for i in range(done, len(profile)):
+                part = share(profile[i], profile[i])
+                d = tuple(self._merge(self.vector(children[i][0], part), d))
+                d = share(d, d)
+                chains[profile[:i] + (part,)] = d
+        return d
 
     # ---- exact regime ---------------------------------------------------
 
@@ -263,10 +329,20 @@ class PwayCutSolver:
         set without that unit leaves the same components, and each of its
         groups has the same bag cost and profile and at least as many free
         components, so it matches or beats the skipped group for every mask
-        and the vector is unchanged."""
+        and the vector is unchanged.
+
+        Every component meeting the adhesion takes a color of f, so a
+        permutation of the colors f does not use (the free colors) maps the
+        colorings of one crossing set onto each other, with equal bag cost
+        and permuted profile, realized mask and chain. Only the colorings
+        that use the free colors in increasing order of first use are
+        enumerated, and each mask then takes the minimum over its orbit:
+        the masks with the same colors of f and as many free colors."""
         info = self.info[t]
         p, inf = self.p, self.inf
-        colors = range(1, p + 1)
+        fmask = 0
+        for col in f:
+            fmask |= 1 << (col - 1)
 
         # (child restriction profile, realized mask, free slots) -> min cost
         groups: Dict[Tuple, int] = {}
@@ -292,7 +368,7 @@ class PwayCutSolver:
                 base_realized |= 1 << (col - 1)
 
             # at most k crossing edges, so every coloring costs at most k
-            for phi in product(colors, repeat=len(enum_comps)):
+            for phi in self._colorings(len(enum_comps), fmask):
                 realized = base_realized
                 for c, col in zip(enum_comps, phi):
                     color[c] = col
@@ -310,17 +386,9 @@ class PwayCutSolver:
                     groups[key] = bagcost
 
         vec = [inf] * (self.full + 1)
-        chains = self.chains[t]
         popcount = self.popcount
         for (profile, realized, free), bagcost in groups.items():
-            d = chains.get(profile)
-            if d is None:
-                # chains live as long as the solver, and a node has many
-                # profiles but few distinct parts and chain vectors
-                share = self.shared.setdefault
-                d = self._chain(info.children, profile)
-                d = share(d, d)
-                chains[tuple(share(part, part) for part in profile)] = d
+            d = self._chain(t, profile)
             for imask in range(self.full + 1):
                 need = imask & ~realized
                 best = vec[imask]
@@ -331,7 +399,44 @@ class PwayCutSolver:
                         if cand < best:
                             best = cand
                 vec[imask] = best
+        for orbit in self._orbits(fmask):
+            best = min([vec[m] for m in orbit])
+            for m in orbit:
+                vec[m] = best
         return tuple(vec)
+
+    def _colorings(self, n: int, fmask: int) -> List[Tuple[int, ...]]:
+        """Colorings of n components up to a permutation of the free colors
+        (those not in fmask): every color of fmask, and the free colors as
+        restricted-growth strings, each new one the smallest unused."""
+        out = self.colorings.get((n, fmask))
+        if out is None:
+            colors = range(1, self.p + 1)
+            forced = [c for c in colors if fmask >> (c - 1) & 1]
+            free = [c for c in colors if not fmask >> (c - 1) & 1]
+            rows: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
+            for _ in range(n):
+                nxt = []
+                for phi, used in rows:
+                    for col in forced + free[:used]:
+                        nxt.append((phi + (col,), used))
+                    if used < len(free):
+                        nxt.append((phi + (free[used],), used + 1))
+                rows = nxt
+            out = self.colorings[(n, fmask)] = [phi for phi, _ in rows]
+        return out
+
+    def _orbits(self, fmask: int) -> List[List[int]]:
+        """The masks grouped by their colors in fmask and their number of
+        other colors, keeping only the groups of two or more."""
+        out = self.orbits.get(fmask)
+        if out is None:
+            classes: Dict[Tuple[int, int], List[int]] = {}
+            for m in range(self.full + 1):
+                key = (m & fmask, self.popcount[m & ~fmask])
+                classes.setdefault(key, []).append(m)
+            out = self.orbits[fmask] = [o for o in classes.values() if len(o) > 1]
+        return out
 
     # ---- color-coding regime ---------------------------------------------
 
@@ -347,13 +452,8 @@ class PwayCutSolver:
             perm[c], perm[p] = p, c
             f_rel = tuple(perm[x] for x in f)
             sub = self._coded_guess_vector(t, f_rel)
-            for imask in range(self.full + 1):
-                rel = 0
-                for col in range(1, p + 1):
-                    if imask & (1 << (col - 1)):
-                        rel |= 1 << (perm[col] - 1)
-                if sub[rel] < vec[imask]:
-                    vec[imask] = sub[rel]
+            vec = [min(old, sub[rel])
+                   for old, rel in zip(vec, self._mask_image(perm))]
         return tuple(vec)
 
     def _coded_guess_vector(self, t: int, f_rel: Tuple[int, ...]) -> List[int]:
@@ -393,10 +493,13 @@ class PwayCutSolver:
         info = self.info[t]
         p, inf = self.p, self.inf
         nb = len(info.bag)
-        # auxiliary graph: bag cost edges plus a clique per child adhesion
-        aux = Graph(nb, info.cost_edges + [
-            pair for _, adh_l in info.children for pair in combinations(adh_l, 2)
-        ])
+        aux = self.aux.get(t)
+        if aux is None:
+            # bag cost edges plus a clique per child adhesion
+            aux = self.aux[t] = Graph(nb, info.cost_edges + [
+                pair for _, adh_l in info.children
+                for pair in combinations(adh_l, 2)
+            ])
         comps = connected_components(aux, [l for l in range(nb) if gp[l] == p])
         comp_of = {l: i for i, comp in enumerate(comps) for l in comp}
 

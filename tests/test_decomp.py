@@ -1,9 +1,11 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from qktree import adhesion as adhesion_module
 from qktree.core import Graph
 from qktree.decomp import (
     VARIANT_DEPTH_REDUCED,
@@ -88,6 +90,46 @@ def test_random_graphs_depth_reduced(seed):
     assert_all_valid(g, deco, adhesion_bound=params["adhesion_bound"])
     unb = verify_subtree_unbreakability(g, deco, params["q_bound"], k)
     assert unb.ok, unb.failures
+
+
+def test_standard_below_epsilon_one(monkeypatch):
+    # at epsilon = 1/2 and 1/3 reduce_adhesion runs two and three levels;
+    # record the level of every witness cover (q = k in STANDARD, so level
+    # l works at budget k' = (1 + l) k) and of every carve that follows one
+    covers, carves = [], []
+    witness_cover = adhesion_module.witness_cover
+    carve_many = adhesion_module.carve_many
+
+    def cover(ctx, rng):
+        covers.append(ctx.k_prime // k - 1)
+        return witness_cover(ctx, rng)
+
+    def carve(t, coll):
+        carves.append(covers[-1])
+        return carve_many(t, coll)
+
+    monkeypatch.setattr(adhesion_module, "witness_cover", cover)
+    monkeypatch.setattr(adhesion_module, "carve_many", carve)
+    pairs = [(u, v) for u in range(40) for v in range(u + 1, 40)]
+    checked = 0
+    for i in range(5):
+        g = Graph(40, random.Random(2000 + i).sample(pairs, 62))
+        for eps in (Fraction(1, 2), Fraction(1, 3)):
+            for k in (1, 2):
+                params = variant_parameters(k, eps)[VARIANT_STANDARD]
+                lev = math.ceil(1 / eps)
+                assert params["adhesion_bound"] == 2 * (lev * k + k)
+                assert params["q_bound"] == 2 * lev * k + 3 * k
+                deco, rep = decompose(g, k, eps, rng=random.Random(i), seed=i)
+                assert rep.node_count <= g.n
+                assert deco.max_adhesion() <= params["adhesion_bound"]
+                assert_all_valid(g, deco, params["adhesion_bound"])
+                unb = verify_subtree_unbreakability(g, deco, params["q_bound"], k)
+                assert unb.ok, (i, eps, k, unb.failures)
+                checked += len(unb.checked)
+    assert checked, "the verifier checked no bag"
+    assert max(covers) == 3
+    assert 2 in carves, "no carve ran at level 2"
 
 
 def test_disconnected_input_components_share_one_root():

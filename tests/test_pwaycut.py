@@ -165,6 +165,16 @@ def solved(g, p, k, seed):
     return deco, solver
 
 
+def is_canonical(f):
+    """Colors numbered by first occurrence: each new color is the next."""
+    top = 0
+    for col in f:
+        if col > top + 1:
+            return False
+        top = max(top, col)
+    return True
+
+
 def has_cycle(nb, edges):
     parent = list(range(nb))
 
@@ -191,6 +201,10 @@ def test_table_entries_match_exhaustive_coloring(seed):
     g4 = gnp(11, 0.35, seed + 40)
     for g, p, k in ((g3, 3, 3), (g4, 4, 4)):
         deco, solver = solved(g, p, k, seed)
+        # demand every stored coloring with its colors reversed as well, so
+        # that relabeled copies of computed vectors are checked too
+        for t, f in list(solver.vectors):
+            solver.vector(t, tuple(p + 1 - col for col in f))
         if p == 4:
             assert any(
                 has_cycle(len(info.bag), info.cost_edges) for info in solver.info
@@ -201,9 +215,28 @@ def test_table_entries_match_exhaustive_coloring(seed):
             )
             # some child was asked for an adhesion coloring that crosses it
             assert any(len(set(f)) > 1 for _t, f in solver.vectors)
+            assert any(not is_canonical(f) for _t, f in solver.vectors)
         for (t, f), vec in solver.vectors.items():
             expect = brute_vector(g, deco, t, f, p, k)
             assert vec == expect, (p, k, t, f, vec, expect)
+
+
+def test_only_canonical_colorings_are_computed(monkeypatch):
+    computed = []
+    compute_vector = PwayCutSolver._compute_vector
+
+    def recording(self, t, f):
+        computed.append((t, f))
+        return compute_vector(self, t, f)
+
+    monkeypatch.setattr(PwayCutSolver, "_compute_vector", recording)
+    _deco, solver = solved(gnp(11, 0.35, 0), 4, 4, 2)
+    assert computed and all(is_canonical(f) for _t, f in computed)
+    assert len(set(computed)) == len(computed)
+    # every other demanded coloring was read through a relabeling
+    relabeled = [f for _t, f in solver.vectors if not is_canonical(f)]
+    assert relabeled
+    assert len(solver.vectors) == len(computed) + len(relabeled)
 
 
 def test_entry_monotone_in_required_colors():
@@ -232,6 +265,34 @@ def test_coded_regime_matches_exact(seed, monkeypatch):
     for p in (2, 3):
         for k in range(0, 4):
             check_against_oracle(g, p, k, seed * 29 + p + k)
+
+
+def gnm(n, m, seed):
+    rng = random.Random(seed)
+    return Graph(n, rng.sample(
+        [(u, v) for u in range(n) for v in range(u + 1, n)], m
+    ))
+
+
+def test_coded_regime_unforced_matches_brute_force(monkeypatch):
+    # most decompositions of these graphs have a bag over the exact
+    # regime's limits, so the coded regime runs without being forced
+    coded = []
+    coded_vector = PwayCutSolver._coded_vector
+
+    def recording(self, t, f):
+        coded.append((t, f))
+        return coded_vector(self, t, f)
+
+    monkeypatch.setattr(PwayCutSolver, "_coded_vector", recording)
+    used = 0
+    for i, n in enumerate((30, 40) * 6):
+        g = gnm(n, 63, 100 + i)
+        for p in (2, 3):
+            before = len(coded)
+            check_against_oracle(g, p, 3, i * 10 + p)
+            used += len(coded) > before
+    assert used >= 12, used
 
 
 def test_flip_dp_forced_components_stay_infeasible_unflipped(monkeypatch):
