@@ -1,7 +1,15 @@
 """Tunable constants and enumeration limits, collected in one place."""
 
-# Largest set size accepted by the exhaustive unbreakability check (2^n partitions).
+# Largest set w accepted by the partition strategy of the unbreakability
+# check (one bounded flow per 2-partition of w minus a forced subset).
 UNBREAKABLE_ENUM_LIMIT = 24
+
+# Largest number of candidate separators, sum of C(n, s) for s <= k, that
+# the separator sweep of the unbreakability check (and the verifier)
+# enumerates: about 3 s at the limit (n = 47, k = 4) on a 2-core host. It
+# also caps the core strategy's flow budget, in augmenting-path searches.
+# A check that no strategy takes raises SizeGuardError.
+SEPARATOR_SWEEP_LIMIT = 200_000
 
 # Largest graph accepted by the 3^n brute-force oracles (cut enumeration).
 CUT_ENUM_LIMIT = 12

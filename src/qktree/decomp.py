@@ -8,7 +8,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from . import config
 from .adhesion import reduce_adhesion, unbreakable_balanced_set
 from .core import (
     Graph,
@@ -140,10 +139,7 @@ def _separator_set(
     if sigma + 1 <= len(b) <= 2 * sigma:
         # shrink the boundary: either a small breakable witness of B joins
         # the bag, or B is already unbreakable and grows to low adhesion
-        verdict = check_unbreakable(
-            h, b, q_chk, k,
-            enum_limit=max(config.UNBREAKABLE_ENUM_LIMIT, 2 * sigma),
-        )
+        verdict = check_unbreakable(h, b, q_chk, k)
         if verdict != UNBREAKABLE:
             x = b | verdict.separator
         else:

@@ -183,10 +183,32 @@ def _separator_candidates(g: Graph, k: int):
     return found
 
 
-def _check_by_separators(
-    g: Graph, wmask: int, q: int, k: int
-):
-    """Enumerate candidate separators of size <= k; exact."""
+def _too_few(wlen: int, q: int, k: int) -> bool:
+    """True when no witness exists: it needs |L∩w| + |R∩w| >= 2q+2, but
+    that sum is at most |w| + |separator ∩ w| <= |w| + min(k, |w|)."""
+    return wlen + min(k, wlen) < 2 * q + 2
+
+
+def _sweep_candidates(n: int, k: int) -> int:
+    """Vertex sets of size <= k among n: the sweep's candidate count."""
+    return sum(math.comb(n, s) for s in range(0, min(k, n) + 1))
+
+
+def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
+    """check_unbreakable by the separator sweep alone, exact: every vertex
+    set of size <= k that disconnects g, unless w is too small for any
+    witness. Raises SizeGuardError when the sum of C(n, s) for s <= k
+    exceeds config.SEPARATOR_SWEEP_LIMIT."""
+    wset = set(w)
+    if _too_few(len(wset), q, k):
+        return UNBREAKABLE
+    subsets = _sweep_candidates(g.n, k)
+    if subsets > config.SEPARATOR_SWEEP_LIMIT:
+        raise SizeGuardError(
+            f"n={g.n}, k={k} gives {subsets} candidate separators, over the "
+            f"sweep limit {config.SEPARATOR_SWEEP_LIMIT}"
+        )
+    wmask = set_to_mask(wset)
     full = (1 << g.n) - 1
     for smask, comps in _separator_candidates(g, k):
         q2 = q - bin(smask & wmask).count("1")
@@ -250,40 +272,272 @@ def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
     return UNBREAKABLE
 
 
-def check_unbreakable(
-    g: Graph,
-    w: Iterable[int],
-    q: int,
-    k: int,
-    enum_limit: int = config.UNBREAKABLE_ENUM_LIMIT,
+class _BudgetSpent(Exception):
+    """The core strategy's flow budget ran out."""
+
+
+class _Flows:
+    """Bounded flows in g minus a deleted vertex set, in g's vertex ids and
+    masks. Each flow's augmenting-path searches (its value plus one, or
+    bound + 2 once it exceeds the bound) are charged to a budget; the
+    flow that overdraws it raises _BudgetSpent."""
+
+    def __init__(self, g: Graph, budget: float):
+        self.g = g
+        self.budget = budget
+        self.nets = {}  # deleted mask -> (capacities, local -> g ids, g -> local ids)
+
+    def cut(self, deleted: int, sources: int, sinks: int, bound: int, **flags):
+        """The separator mask of the sources-sinks mincut in g minus the
+        deleted vertices (bounded_vertex_maxflow's, nearest the sources),
+        or None when the flow exceeds the bound."""
+        entry = self.nets.get(deleted)
+        if entry is None:
+            sub, ids = induced_subgraph(
+                self.g, mask_to_set(((1 << self.g.n) - 1) & ~deleted)
+            ) if deleted else (self.g, list(range(self.g.n)))
+            pos = {v: i for i, v in enumerate(ids)}
+            entry = self.nets[deleted] = (unit_capacities(sub), ids, pos)
+        cg, ids, pos = entry
+        res = bounded_vertex_maxflow(
+            cg,
+            [pos[v] for v in mask_to_set(sources)],
+            [pos[v] for v in mask_to_set(sinks)],
+            bound,
+            **flags,
+        )
+        self.budget -= bound + 2 if res.value == EXCEEDS_BOUND else res.value + 1
+        if self.budget < 0:
+            raise _BudgetSpent
+        if res.value == EXCEEDS_BOUND:
+            return None
+        return set_to_mask(ids[i] for i in res.mincut.separator)
+
+
+def _reach(g: Graph, xmask: int, removed: int) -> int:
+    """The vertices that x reaches in g minus the removed vertices."""
+    out = 0
+    for comp in components_masks(g, removed):
+        if comp & xmask:
+            out |= comp
+    return out
+
+
+def _furthest_cut(flows: _Flows, xmask: int, cmask: int, k: int, deleted: int):
+    """The x-c mincut furthest from x in g minus `deleted` (from the flow
+    run from c's side, c cuttable) and the vertices x reaches in front of
+    it, or None when the mincut exceeds k - |deleted|."""
+    sep = flows.cut(
+        deleted, cmask, xmask, k - bin(deleted).count("1"), cut_sources=True
+    )
+    if sep is None:
+        return None
+    return sep, _reach(flows.g, xmask, deleted | sep)
+
+
+def _important_separators(
+    flows: _Flows, xmask: int, cmask: int, k: int, deleted: int = 0, cut=None
 ):
+    """Every important (x, c)-separator of size <= k in g minus `deleted`,
+    united with `deleted`, possibly among other x-c separators; nothing
+    when the x-c mincut exceeds k - |deleted|. `cut` is the furthest cut
+    when already known.
+
+    x is uncuttable and c cuttable. Branches on a vertex v of the mincut
+    furthest from x: v joins the separator, or x grows to v and everything
+    it reaches in front of that cut, which every important separator keeps
+    on x's side (Marx, TCS 2006; at most 4^k leaves, since each branch
+    raises 2k - mincut).
+    """
+    if not cmask:  # every vertex of c is deleted
+        yield deleted
+        return
+    if cut is None:
+        cut = _furthest_cut(flows, xmask, cmask, k, deleted)
+    if cut is None:
+        return
+    sep, front = cut
+    if not sep:
+        yield deleted
+        return
+    v = sep & -sep
+    yield from _important_separators(flows, xmask, cmask & ~v, k, deleted | v)
+    if not cmask & v:
+        yield from _important_separators(flows, front | v, cmask, k, deleted)
+
+
+def _padded_witness(g: Graph, amask: int, smask: int, wmask: int, q: int, k: int):
+    """The cut with a's side of g - s on the left, s plus as few of the
+    right side's w-vertices as bring the left to q + 1 (at most k - |s|)
+    in the separator, or None when no padding reaches q + 1."""
+    side = _reach(g, amask, smask)
+    need = q + 1 - bin((side | smask) & wmask).count("1")
+    pad = 0
+    if need > 0:
+        spare = wmask & ~side & ~smask
+        if need > min(k - bin(smask).count("1"), bin(spare).count("1")):
+            return None
+        for _ in range(need):
+            bit = spare & -spare
+            pad |= bit
+            spare ^= bit
+    full = (1 << g.n) - 1
+    return VertexCut(mask_to_set(side | smask | pad), mask_to_set(full & ~side))
+
+
+def _check_by_core(
+    g: Graph, w: Iterable[int], q: int, k: int, budget: float = math.inf
+):
+    """Exact check through a linked core and important separators; see
+    check_unbreakable. None when the strategy does not apply (q < k, a
+    core of at most k vertices, or at most q w-vertices that k vertices
+    cannot cut off from it) or its flows need more than `budget`
+    augmenting-path searches."""
+    if q < k:
+        return None
+    wset = sorted(set(w))
+    flows = _Flows(g, budget)
+    adj = g.adj
+    adjm = g.adj_masks()
+
+    def linked(u: int, v: int) -> bool:
+        """No k vertices other than u and v separate them."""
+        return (
+            (adjm[u] >> v) & 1
+            or bin(adjm[u] & adjm[v]).count("1") > k
+            or flows.cut(0, 1 << u, 1 << v, k) is None
+        )
+
+    try:
+        members = []  # the first k + 1 are the hubs
+        for v in sorted((v for v in wset if len(adj[v]) > k),
+                        key=lambda v: (-len(adj[v]), v)):
+            if all(linked(v, h) for h in members[:k + 1]):
+                members.append(v)
+        if len(members) <= k:
+            return None
+        core = set_to_mask(members)
+        pockets = [
+            v for v in wset
+            if not (core >> v) & 1 and (
+                len(adj[v]) <= k
+                or flows.cut(0, 1 << v, core, k, cut_sinks=True) is not None
+            )
+        ]
+        if len(wset) - len(pockets) <= q:
+            return None
+        if len(pockets) + k <= q:
+            return UNBREAKABLE
+        wmask = set_to_mask(wset)
+        # depth-first over pocket sets, each grown by pockets of higher
+        # index; entries are (set, index of the next pocket, its front)
+        stack = [(0, 0, 0)]
+        while stack:
+            amask, i, front = stack.pop()
+            if i == len(pockets):
+                continue
+            stack.append((amask, i + 1, front))
+            if (front >> pockets[i]) & 1:
+                continue  # in front of amask's furthest mincut: dominated
+            a = amask | 1 << pockets[i]
+            furthest = _furthest_cut(flows, a, core, k, 0)
+            if furthest is None:
+                continue  # the a-core mincut exceeds k, as for every superset
+            for smask in _important_separators(flows, a, core, k, cut=furthest):
+                cut = _padded_witness(g, a, smask, wmask, q, k)
+                if cut is not None:
+                    return cut
+            stack.append((a, i + 1, furthest[1]))
+    except _BudgetSpent:
+        return None
+    return UNBREAKABLE
+
+
+def _sweep_passes(g: Graph, k: int) -> int:
+    """DFS passes the separator sweep makes (none once its list for g and
+    k is cached): one removal profile per prefix of size < min(k, 4), one
+    component search per separator of size 4..k."""
+    if k in g._caches.get("separators", {}):
+        return 0
+    return sum(math.comb(g.n, s) for s in range(min(k, 3))) + sum(
+        math.comb(g.n, s) for s in range(4, min(k, g.n) + 1)
+    )
+
+
+def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     """Certify that w is (q,k)-unbreakable in g, or return a breakable
     witness: a cut (L,R) with |L∩R| <= k, |L∩w| > q, and |R∩w| > q.
 
-    Exhaustive and exact. Two interchangeable strategies share the work: a
-    partition enumeration over w (forcing each small subset of w into the
-    separator, then one bounded flow per partition of the rest) and an
-    enumeration of candidate separators of size <= k; the cheaper one for
-    the given sizes is used.
+    Exact. Three strategies, each guarded by its own cost:
+
+    - partitions (q >= k, |w| <= config.UNBREAKABLE_ENUM_LIMIT): force
+      each subset of w of size <= k into the separator and run one
+      bounded flow per 2-partition of the rest;
+    - the separator sweep (sum of C(n, s) for s <= k at most
+      config.SEPARATOR_SWEEP_LIMIT): list every vertex set of size <= k
+      that disconnects g, once per graph and bound, and look for a split
+      of its components;
+    - the core strategy (q >= k, more than q vertices of w of degree
+      > k): bounded flows and important separators, below; it gives up
+      after as many augmenting-path searches as the sweep makes DFS
+      passes (at most config.SEPARATOR_SWEEP_LIMIT), and the sweep runs.
+
+    Partitions run when their cost is under an eighth of the sweep's
+    candidate count. Otherwise the core strategy runs when its estimate,
+    (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes (none
+    once the sweep's list for g is cached), and else the sweep.
+
+    The core strategy picks, greedily by degree, a core C of w-vertices of
+    degree > k: k + 1 hubs that are pairwise linked (adjacent, or not
+    separated by any k other vertices), and more vertices each linked to
+    every hub. A separator S of size <= k misses a hub, which holds every
+    vertex of C - S in its component of g - S; and C - S is not empty. So
+    every witness can be drawn with C - S on its right, and the w-vertices
+    A on its left outside S, which S cuts off from C, lie in D, the
+    w-vertices outside C with a fan of at most k paths to C. When more
+    than q of w lie outside D, every cut with its left side's w-vertices
+    in D has more than q of w on the right, and a witness is a separator
+    S of size <= k with more than q w-vertices in A's side of g - S plus
+    S (A is not empty, since q >= k >= |S|).
+
+    Fix a witness, with every component of its left side holding a vertex
+    of A (any other component can move right), and A one such vertex per
+    component. An important (A, C)-separator S* with |S*| <= |S| has an A
+    side R* that holds A's side of g - S (Marx, TCS 2006). The boundary of
+    A's side lies in R* ∪ S*, so the w-vertices of S outside R* ∪ S* are
+    at most |S| - |S*| <= k - |S*|: padding S* with that many w-vertices
+    of the right gives a witness with as many w-vertices on the left. So
+    the strategy enumerates each pocket set A ⊆ D whose A-C mincut is at
+    most k, grown depth-first (supersets of a set over k only cost more),
+    and each important (A, C)-separator S*, and answers with the first
+    padded cut (R* ∪ S* ∪ P, V - R*) that holds q + 1 w-vertices on the
+    left. A set A + d with d in front of A's furthest mincut (the one
+    nearest C) is skipped with all its supersets: by submodularity its
+    witnesses' left sides, joined with that front, have a boundary no
+    larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
-    if len(wset) + min(k, len(wset)) < 2 * q + 2:
-        # any witness needs |L∩w| + |R∩w| >= 2q+2, but that sum is at most
-        # |w| + |separator ∩ w| <= |w| + k; no enumeration needed
+    if _too_few(len(wset), q, k):
         return UNBREAKABLE
-    if len(wset) > enum_limit:
-        raise SizeGuardError(
-            f"set of size {len(wset)} exceeds the enumeration limit {enum_limit}"
+    subsets = _sweep_candidates(g.n, k)
+    if q >= k and len(wset) <= config.UNBREAKABLE_ENUM_LIMIT:
+        cost_part = sum(
+            math.comb(len(wset), s) * (1 << max(len(wset) - s - 1, 0))
+            for s in range(0, min(k, len(wset)) + 1)
         )
-    wmask = set_to_mask(wset)
-    cost_sep = sum(math.comb(g.n, s) for s in range(0, min(k, g.n) + 1))
-    cost_part = sum(
-        math.comb(len(wset), s) * (1 << max(len(wset) - s - 1, 0))
-        for s in range(0, min(k, len(wset)) + 1)
-    )
-    if q >= k and cost_part * 8 < cost_sep:
-        return _check_by_partitions(g, wset, q, k)
-    return _check_by_separators(g, wmask, q, k)
+        if cost_part * 8 < subsets:
+            return _check_by_partitions(g, wset, q, k)
+    passes = _sweep_passes(g, k)
+    if (
+        q >= k
+        and sum(len(g.adj[v]) > k for v in wset) > q
+        and (k + 1) * (math.comb(len(wset), 2) + len(wset)) < passes
+    ):
+        budget = min(passes, config.SEPARATOR_SWEEP_LIMIT)
+        verdict = _check_by_core(g, wset, q, k, budget)
+        if verdict is not None:
+            return verdict
+    return check_by_separators(g, wset, q, k)
 
 
 def net_size(sigma: int, alpha: float) -> int:

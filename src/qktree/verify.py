@@ -17,7 +17,7 @@ from .core import (
     is_connected,
     neighborhood,
 )
-from .origin import UNBREAKABLE, check_unbreakable
+from .origin import UNBREAKABLE, check_by_separators
 
 INFEASIBLE = "INFEASIBLE"
 
@@ -214,8 +214,8 @@ def validate_decomposition(
 
 @dataclass
 class UnbreakabilityReport:
-    """Per-bag subtree unbreakability outcome; oversized bags are skipped
-    (reported, not fatal)."""
+    """Per-bag subtree unbreakability outcome; bags whose subtree graph is
+    over the separator sweep's limit are skipped (reported, not fatal)."""
 
     q: int
     k: int
@@ -230,7 +230,11 @@ class UnbreakabilityReport:
 
 def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> UnbreakabilityReport:
     """Check every bag's (q,k)-unbreakability inside its own subtree graph
-    G_t = G[gamma(t)] minus the edges within the adhesion set."""
+    G_t = G[gamma(t)] minus the edges within the adhesion set.
+
+    Each check is the exhaustive separator sweep, never the flow-based
+    strategies that build the decomposition, so the verifier is an
+    independent oracle for them."""
     report = UnbreakabilityReport(q=q, k=k)
     for t in range(len(deco.nodes)):
         bag = deco.bag(t)
@@ -242,7 +246,7 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
         pos = {v: i for i, v in enumerate(ids)}
         local_bag = [pos[v] for v in bag]
         try:
-            verdict = check_unbreakable(sub, local_bag, q, k)
+            verdict = check_by_separators(sub, local_bag, q, k)
         except SizeGuardError:
             report.skipped.append(t)
             continue

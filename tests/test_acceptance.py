@@ -183,6 +183,8 @@ def soundness_failures(variant):
             unb = verify_subtree_unbreakability(g, deco, q, k)
             if not unb.ok:
                 failures.append((name, k, "unbreakability", unb.failures[:1]))
+            if unb.skipped:
+                failures.append((name, k, "unchecked bags", unb.skipped))
             if variant == VARIANT_DEPTH_REDUCED:
                 limit = 8 * math.ceil(math.log2(g.n))
                 if rep.depth > limit:

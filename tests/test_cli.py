@@ -152,9 +152,12 @@ def test_ssmc_source_out_of_range_exits_one(tmp_path, capsys):
 
 
 def test_decompose_beyond_enumeration_limit_exits_one(tmp_path, capsys):
-    code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
-                       "--prob", "0.08", "--seed", "0")
-    path = write_graph(tmp_path, "g60.txt", out)
+    # at k = 5 a path's checks fit no strategy: no vertex has degree above
+    # k, the nets exceed the partition limit, and C(60, <=5) separators
+    # exceed the sweep's
+    code, out, _ = run(capsys, "gen", "--model", "path", "--n", "60",
+                       "--seed", "0")
+    path = write_graph(tmp_path, "p60.txt", out)
     code, out, err = run(capsys, "decompose", path, "--k", "5")
     assert code == 1 and out == ""
     assert "SIZE_GUARD" in err and err.count("\n") == 1

@@ -1,11 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from qktree.core import SizeGuardError, connected_components
+from qktree.core import Graph, SizeGuardError, components_masks, set_to_mask
 from qktree.origin import (
     UNBREAKABLE,
+    _check_by_core,
+    _Flows,
+    _important_separators,
     balanced_origin,
+    check_by_separators,
     check_unbreakable,
     net_size,
     sample_net,
@@ -40,9 +45,12 @@ def test_path_witness():
 
 
 def test_size_guard():
-    g = path_graph(30)
+    # |w| = 60 is over the partition strategy's limit, no vertex has degree
+    # above k for the core strategy, and the sweep would try C(60, <=5)
+    # separators
+    g = path_graph(60)
     with pytest.raises(SizeGuardError):
-        check_unbreakable(g, range(30), 2, 1)
+        check_unbreakable(g, range(60), 5, 5)
 
 
 def test_overlapping_sides_witness_found():
@@ -78,8 +86,7 @@ def test_matches_brute_oracle(block):
 
 
 def test_both_strategies_agree():
-    from qktree.origin import _check_by_partitions, _check_by_separators
-    from qktree.core import set_to_mask
+    from qktree.origin import _check_by_partitions, check_by_separators
 
     checked = 0
     seed = 900000
@@ -92,11 +99,170 @@ def test_both_strategies_agree():
         k = rng.randint(1, q)
         checked += 1
         by_part = _check_by_partitions(g, w, q, k)
-        by_sep = _check_by_separators(g, set_to_mask(w), q, k)
+        by_sep = check_by_separators(g, w, q, k)
         assert (by_part == UNBREAKABLE) == (by_sep == UNBREAKABLE)
         if by_part != UNBREAKABLE:
             assert_witness(g, w, q, k, by_part)
             assert_witness(g, w, q, k, by_sep)
+
+
+def test_core_strategy_matches_sweep():
+    # 3,200 instances: 800 graphs (n 6-22, k 1-4), four (w, q) draws each
+    # with q from k to k + 2, so each graph's sweep list is built once
+    answered = breakable = 0
+    for seed in range(800):
+        rng = random.Random(700000 + seed)
+        g = gnp(rng.randint(6, 22), rng.uniform(0.1, 0.6), 700000 + seed)
+        k = rng.randint(1, 4)
+        for _ in range(4):
+            w = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            q = k + rng.randint(0, 2)
+            by_core = _check_by_core(g, w, q, k)
+            if by_core is None:
+                continue  # the strategy does not apply
+            answered += 1
+            by_sep = check_by_separators(g, w, q, k)
+            case = (seed, g.edges(), w, q, k)
+            assert (by_core == UNBREAKABLE) == (by_sep == UNBREAKABLE), case
+            if by_core != UNBREAKABLE:
+                breakable += 1
+                assert_witness(g, w, q, k, by_core)
+    assert answered >= 1000 and breakable >= 150, (answered, breakable)
+
+
+def linked_core_plus(extra_edges, n):
+    """K6 on 0..5 plus the given edges among n vertices."""
+    return Graph(n, [(u, v) for u in range(6) for v in range(u + 1, 6)]
+                 + extra_edges)
+
+
+def test_core_strategy_two_pocket_witness():
+    # pockets 9 and 10 have degree 2 and neighbourhoods {6, 7} and {7, 8};
+    # only S = {6, 7, 8} cuts both off, leaving 5 of w on the left at q = 4.
+    # From either pocket alone the best padded cut holds 4.
+    x, y, z, a1, a2 = 6, 7, 8, 9, 10
+    g = linked_core_plus(
+        [(x, c) for c in (0, 1, 2, 3)] + [(y, c) for c in (1, 2, 3, 4)]
+        + [(z, c) for c in (2, 3, 4, 5)]
+        + [(a1, x), (a1, y), (a2, y), (a2, z)],
+        11,
+    )
+    w = range(11)
+    assert check_by_separators(g, w, 4, 3) != UNBREAKABLE
+    cut = _check_by_core(g, w, 4, 3)
+    assert cut not in (None, UNBREAKABLE)
+    assert_witness(g, w, 4, 3, cut)
+    assert cut.left_only == {a1, a2} and cut.separator == {x, y, z}
+    assert check_unbreakable(g, w, 5, 3) == UNBREAKABLE
+    assert _check_by_core(g, w, 5, 3) == UNBREAKABLE
+
+
+def test_core_strategy_padded_witness():
+    # the pocket 8 is cut off by {6, 7}, which holds 3 of w with it; the
+    # witness at q = 3 adds a w-vertex that touches no pocket to S
+    x, y, a = 6, 7, 8
+    g = linked_core_plus(
+        [(x, c) for c in (0, 1, 2, 3)] + [(y, c) for c in (2, 3, 4, 5)]
+        + [(a, x), (a, y)],
+        9,
+    )
+    w = range(9)
+    cut = _check_by_core(g, w, 3, 3)
+    assert cut not in (None, UNBREAKABLE)
+    assert_witness(g, w, 3, 3, cut)
+    assert cut.left_only == {a} and len(cut.separator) == 3
+    assert {x, y} < cut.separator
+    assert _check_by_core(g, w, 4, 3) == UNBREAKABLE
+    assert check_by_separators(g, w, 4, 3) == UNBREAKABLE
+
+
+def test_core_strategy_gives_up_on_its_budget():
+    g = gnp(20, 0.5, 5)
+    assert _check_by_core(g, range(20), 3, 3, budget=1) is None
+    assert _check_by_core(g, range(20), 3, 3) is not None
+
+
+def test_check_unbreakable_takes_the_core_path_on_large_graphs(monkeypatch):
+    import qktree.origin as origin
+
+    calls = []
+    core = origin._check_by_core
+    monkeypatch.setattr(
+        origin, "_check_by_core", lambda *args: calls.append(1) or core(*args)
+    )
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        g = Graph(60, rng.sample(pairs, 142))
+        w = rng.sample(range(60), 17)
+        verdict = check_unbreakable(g, w, 3, 3)
+        assert (verdict == UNBREAKABLE) == (
+            check_by_separators(g, w, 3, 3) == UNBREAKABLE
+        )
+        if verdict != UNBREAKABLE:
+            assert_witness(g, w, 3, 3, verdict)
+    assert len(calls) == 3
+
+
+def brute_important_separators(g, xmask, cmask, k):
+    """Important x-c separators of size <= k (c cuttable), by enumeration:
+    inclusion-minimal separators whose x side no other separator of at
+    most their size strictly extends."""
+
+    def side(smask):
+        """x's side of g - s, or None when it meets c."""
+        out = 0
+        for comp in components_masks(g, smask):
+            if comp & xmask:
+                out |= comp
+        return None if out & cmask else out
+
+    seps = {}
+    rest = [v for v in range(g.n) if not (xmask >> v) & 1]
+    for size in range(k + 1):
+        for s in combinations(rest, size):
+            smask = set_to_mask(s)
+            r = side(smask)
+            if r is not None:
+                seps[smask] = r
+    minimal = {
+        s: r for s, r in seps.items()
+        if all(s & ~(1 << v) not in seps for v in range(g.n) if (s >> v) & 1)
+    }
+    return {
+        s for s, r in minimal.items()
+        if not any(
+            bin(t).count("1") <= bin(s).count("1") and r2 & r == r and r2 != r
+            for t, r2 in minimal.items()
+        )
+    }
+
+
+def test_important_separators_match_brute_force():
+    # sparse graphs, a random tree plus a few edges, where separators of
+    # different sizes compete
+    several = 0  # cases with two important separators or more
+    for seed in range(600):
+        rng = random.Random(800000 + seed)
+        n = rng.randint(5, 10)
+        tree = [(rng.randrange(i), i) for i in range(1, n)]
+        more = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 3)]
+        g = Graph(n, tree + more)
+        verts = rng.sample(range(n), rng.randint(3, min(n, 7)))
+        cut_at = rng.randint(1, 2)
+        xmask = set_to_mask(verts[:cut_at])
+        cmask = set_to_mask(verts[cut_at:])
+        k = rng.randint(1, 4)
+        found = list(_important_separators(_Flows(g, float("inf")), xmask, cmask, k))
+        assert len(found) == len(set(found)) <= 4 ** k
+        expected = brute_important_separators(g, xmask, cmask, k)
+        assert expected <= set(found), (seed, g.edges(), xmask, cmask, k)
+        for smask in found:
+            assert bin(smask).count("1") <= k and not smask & xmask
+            for comp in components_masks(g, smask):
+                assert not (comp & xmask and comp & cmask)
+        several += len(expected) >= 2
+    assert several >= 30, several
 
 
 def test_sample_net_deterministic_and_full():
