@@ -1,15 +1,21 @@
 """Tunable constants and enumeration limits, collected in one place."""
 
 # Largest set w accepted by the partition strategy of the unbreakability
-# check (one bounded flow per 2-partition of w minus a forced subset).
+# check (one bounded flow per 2-partition of w minus a forced subset). A
+# set this small is always checked, by the cheaper of partitions and the
+# separator sweep, whatever the sweep's limit below.
 UNBREAKABLE_ENUM_LIMIT = 24
 
-# Largest number of candidate separators, sum of C(n, s) for s <= k, that
-# the separator sweep of the unbreakability check (and the verifier)
-# enumerates: about 3 s at the limit (n = 47, k = 4) on a 2-core host. It
-# also caps the core strategy's flow budget, in augmenting-path searches.
-# A check that no strategy takes raises SizeGuardError.
-SEPARATOR_SWEEP_LIMIT = 200_000
+# Largest number of DFS passes that the separator sweep of the
+# unbreakability check (and the verifier) makes for a larger set w: one
+# per vertex set of size < min(k, 4), plus one per vertex set of each size
+# 4..k. At the limit k = 3 reaches n = 446 and k = 4 reaches n = 40. On a
+# 2-core host the sweep took 2.8 s at k = 4 with 195,757 passes (n = 48,
+# 90 edges), and 99 s at k = 3 with 80,201 passes (n = 400, m = 1.35 n),
+# listing 6.2 million disconnecting sets (the 2.9 million of n = 300 took
+# 960 MB). Over the limit the core strategy runs with no budget; a check
+# that no strategy takes raises SizeGuardError.
+SEPARATOR_SWEEP_LIMIT = 100_000
 
 # Largest graph accepted by the 3^n brute-force oracles (cut enumeration).
 CUT_ENUM_LIMIT = 12

@@ -134,22 +134,27 @@ def _components_without(profile, w: int) -> List[int]:
     return out
 
 
+# Separator sizes that _disconnecting_separators reads off removal
+# profiles; every larger candidate costs a component search of its own.
+_PROFILED_SIZES = 3
+
+
 def _disconnecting_separators(g: Graph, k: int):
     """All vertex sets of size <= k whose removal leaves >= 2 components,
     with those components, ascending by (size, lexicographic members).
 
-    Sizes 1..3 are read off one DFS forest of the graph minus each smaller
-    prefix (its cut vertices, and the components they leave) rather than
-    a component computation per candidate subset. Larger sizes use the
-    plain sweep: reading size 4 off profiles of the size-3 prefixes made
-    the enumeration about 30% slower on the p-way benchmark's graphs at
-    k = 4 (1.04 s against 0.81 s per 30 instances, median of 3 runs on a
-    2-core host).
+    Sizes 1.._PROFILED_SIZES are read off one DFS forest of the graph minus
+    each smaller prefix (its cut vertices, and the components they leave)
+    rather than a component computation per candidate subset. Larger sizes
+    use the plain sweep: reading size 4 off profiles of the size-3 prefixes
+    made the enumeration about 30% slower on the p-way benchmark's graphs
+    at k = 4 (1.04 s against 0.81 s per 30 instances, median of 3 runs on
+    a 2-core host).
     """
     n = g.n
     base = components_masks(g, 0)
     out = [(0, base)] if len(base) >= 2 and k >= 0 else []
-    last = min(k, 3)
+    last = min(k, _PROFILED_SIZES)
     prefixes = [0]  # all vertex sets of size `size - 1`, ascending
     for size in range(1, last + 1):
         longer = []
@@ -163,7 +168,7 @@ def _disconnecting_separators(g: Graph, k: int):
                 if size < last:
                     longer.append(smask)
         prefixes = longer
-    for size in range(4, min(k, n) + 1):
+    for size in range(_PROFILED_SIZES + 1, min(k, n) + 1):
         for sep in combinations(range(n), size):
             smask = set_to_mask(sep)
             comps = components_masks(g, smask)
@@ -172,15 +177,43 @@ def _disconnecting_separators(g: Graph, k: int):
     return out
 
 
+def _separator_cache(g: Graph) -> dict:
+    """g's lists of disconnecting separators, by bound."""
+    return g._caches.setdefault("separators", {})
+
+
 def _separator_candidates(g: Graph, k: int):
     """Cached list of disconnecting (separator mask, components) pairs; the
     refinement loops re-certify the same graph many times, so the
     enumeration is done once per (graph, bound)."""
-    cache = g._caches.setdefault("separators", {})
+    cache = _separator_cache(g)
     found = cache.get(k)
     if found is None:
         cache[k] = found = _disconnecting_separators(g, k)
     return found
+
+
+def _sweep_passes(g: Graph, k: int) -> int:
+    """DFS passes that _separator_candidates makes for g and k: one removal
+    profile per prefix of a profiled size, one component search per
+    candidate of a larger size; none once the list is cached."""
+    if k in _separator_cache(g):
+        return 0
+    return sum(
+        math.comb(g.n, s) for s in range(min(k, _PROFILED_SIZES))
+    ) + sum(
+        math.comb(g.n, s) for s in range(_PROFILED_SIZES + 1, min(k, g.n) + 1)
+    )
+
+
+def _sweep_allowed(g: Graph, wlen: int, k: int) -> bool:
+    """The sweep's guard: at most config.SEPARATOR_SWEEP_LIMIT DFS passes,
+    or a set w within the partition strategy's limit, which is always
+    checked, by the cheaper of the two strategies."""
+    return (
+        wlen <= config.UNBREAKABLE_ENUM_LIMIT
+        or _sweep_passes(g, k) <= config.SEPARATOR_SWEEP_LIMIT
+    )
 
 
 def _too_few(wlen: int, q: int, k: int) -> bool:
@@ -189,24 +222,19 @@ def _too_few(wlen: int, q: int, k: int) -> bool:
     return wlen + min(k, wlen) < 2 * q + 2
 
 
-def _sweep_candidates(n: int, k: int) -> int:
-    """Vertex sets of size <= k among n: the sweep's candidate count."""
-    return sum(math.comb(n, s) for s in range(0, min(k, n) + 1))
-
-
 def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
     """check_unbreakable by the separator sweep alone, exact: every vertex
     set of size <= k that disconnects g, unless w is too small for any
-    witness. Raises SizeGuardError when the sum of C(n, s) for s <= k
-    exceeds config.SEPARATOR_SWEEP_LIMIT."""
+    witness. Raises SizeGuardError when _sweep_allowed refuses."""
     wset = set(w)
     if _too_few(len(wset), q, k):
         return UNBREAKABLE
-    subsets = _sweep_candidates(g.n, k)
-    if subsets > config.SEPARATOR_SWEEP_LIMIT:
+    if not _sweep_allowed(g, len(wset), k):
         raise SizeGuardError(
-            f"n={g.n}, k={k} gives {subsets} candidate separators, over the "
-            f"sweep limit {config.SEPARATOR_SWEEP_LIMIT}"
+            f"n={g.n}, k={k} needs {_sweep_passes(g, k)} separator-sweep "
+            f"passes, over the limit {config.SEPARATOR_SWEEP_LIMIT}, and "
+            f"|w| = {len(wset)} exceeds the partition limit "
+            f"{config.UNBREAKABLE_ENUM_LIMIT}"
         )
     wmask = set_to_mask(wset)
     full = (1 << g.n) - 1
@@ -229,6 +257,19 @@ def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
             mask_to_set(left), mask_to_set((full & ~left) | smask)
         )
     return UNBREAKABLE
+
+
+def _partitions_cheaper(g: Graph, wlen: int, q: int, k: int) -> bool:
+    """Whether the partition strategy applies (q >= k, |w| at most
+    config.UNBREAKABLE_ENUM_LIMIT) and its flows, one per forced subset
+    and partition, number under an eighth of the sweep's candidates."""
+    if q < k or wlen > config.UNBREAKABLE_ENUM_LIMIT:
+        return False
+    flows = sum(
+        math.comb(wlen, s) * (1 << max(wlen - s - 1, 0))
+        for s in range(0, min(k, wlen) + 1)
+    )
+    return flows * 8 < sum(math.comb(g.n, s) for s in range(min(k, g.n) + 1))
 
 
 def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
@@ -453,15 +494,17 @@ def _check_by_core(
     return UNBREAKABLE
 
 
-def _sweep_passes(g: Graph, k: int) -> int:
-    """DFS passes the separator sweep makes (none once its list for g and
-    k is cached): one removal profile per prefix of size < min(k, 4), one
-    component search per separator of size 4..k."""
-    if k in g._caches.get("separators", {}):
-        return 0
-    return sum(math.comb(g.n, s) for s in range(min(k, 3))) + sum(
-        math.comb(g.n, s) for s in range(4, min(k, g.n) + 1)
-    )
+def check_exhaustively(g: Graph, w: Iterable[int], q: int, k: int):
+    """check_unbreakable without the core strategy: partitions when they
+    are cheaper, else the separator sweep, which raises SizeGuardError
+    when its guard refuses. The verifier's check, independent of the
+    bounded-flow search that builds decompositions."""
+    wset = sorted(set(w))
+    if _too_few(len(wset), q, k):
+        return UNBREAKABLE
+    if _partitions_cheaper(g, len(wset), q, k):
+        return _check_by_partitions(g, wset, q, k)
+    return check_by_separators(g, wset, q, k)
 
 
 def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
@@ -473,19 +516,22 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     - partitions (q >= k, |w| <= config.UNBREAKABLE_ENUM_LIMIT): force
       each subset of w of size <= k into the separator and run one
       bounded flow per 2-partition of the rest;
-    - the separator sweep (sum of C(n, s) for s <= k at most
-      config.SEPARATOR_SWEEP_LIMIT): list every vertex set of size <= k
-      that disconnects g, once per graph and bound, and look for a split
-      of its components;
+    - the separator sweep (at most config.SEPARATOR_SWEEP_LIMIT DFS
+      passes, or any w within the partition limit): list every vertex set
+      of size <= k that disconnects g, once per graph and bound, and look
+      for a split of its components;
     - the core strategy (q >= k, more than q vertices of w of degree
       > k): bounded flows and important separators, below; it gives up
       after as many augmenting-path searches as the sweep makes DFS
-      passes (at most config.SEPARATOR_SWEEP_LIMIT), and the sweep runs.
+      passes, and the sweep runs.
 
-    Partitions run when their cost is under an eighth of the sweep's
-    candidate count. Otherwise the core strategy runs when its estimate,
+    Partitions run when their flows number under an eighth of the sweep's
+    candidates. Otherwise the core strategy runs when its estimate,
     (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes (none
-    once the sweep's list for g is cached), and else the sweep.
+    once the sweep's list for g is cached), and else the sweep. Where the
+    sweep's guard refuses, the core strategy runs whenever it applies,
+    with no budget.
+    check_exhaustively is the same choice without the core strategy.
 
     The core strategy picks, greedily by degree, a core C of w-vertices of
     degree > k: k + 1 hubs that are pairwise linked (adjacent, or not
@@ -517,27 +563,24 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
-    if _too_few(len(wset), q, k):
-        return UNBREAKABLE
-    subsets = _sweep_candidates(g.n, k)
-    if q >= k and len(wset) <= config.UNBREAKABLE_ENUM_LIMIT:
-        cost_part = sum(
-            math.comb(len(wset), s) * (1 << max(len(wset) - s - 1, 0))
-            for s in range(0, min(k, len(wset)) + 1)
-        )
-        if cost_part * 8 < subsets:
-            return _check_by_partitions(g, wset, q, k)
     passes = _sweep_passes(g, k)
+    swept = _sweep_allowed(g, len(wset), k)
     if (
         q >= k
+        and not _too_few(len(wset), q, k)
+        and not _partitions_cheaper(g, len(wset), q, k)
         and sum(len(g.adj[v]) > k for v in wset) > q
-        and (k + 1) * (math.comb(len(wset), 2) + len(wset)) < passes
+        and (
+            not swept
+            or (k + 1) * (math.comb(len(wset), 2) + len(wset)) < passes
+        )
     ):
-        budget = min(passes, config.SEPARATOR_SWEEP_LIMIT)
-        verdict = _check_by_core(g, wset, q, k, budget)
+        verdict = _check_by_core(
+            g, wset, q, k, passes if swept else math.inf
+        )
         if verdict is not None:
             return verdict
-    return check_by_separators(g, wset, q, k)
+    return check_exhaustively(g, wset, q, k)
 
 
 def net_size(sigma: int, alpha: float) -> int:

@@ -17,7 +17,7 @@ from .core import (
     is_connected,
     neighborhood,
 )
-from .origin import UNBREAKABLE, check_by_separators
+from .origin import UNBREAKABLE, check_exhaustively
 
 INFEASIBLE = "INFEASIBLE"
 
@@ -214,8 +214,9 @@ def validate_decomposition(
 
 @dataclass
 class UnbreakabilityReport:
-    """Per-bag subtree unbreakability outcome; bags whose subtree graph is
-    over the separator sweep's limit are skipped (reported, not fatal)."""
+    """Per-bag subtree unbreakability outcome; bags that no exhaustive
+    strategy takes (check_exhaustively raises SizeGuardError) are skipped
+    (reported, not fatal)."""
 
     q: int
     k: int
@@ -232,9 +233,9 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
     """Check every bag's (q,k)-unbreakability inside its own subtree graph
     G_t = G[gamma(t)] minus the edges within the adhesion set.
 
-    Each check is the exhaustive separator sweep, never the flow-based
-    strategies that build the decomposition, so the verifier is an
-    independent oracle for them."""
+    Each check is check_exhaustively, partitions or the separator sweep,
+    never the core strategy that builds decompositions, so the verifier is
+    an independent oracle for it."""
     report = UnbreakabilityReport(q=q, k=k)
     for t in range(len(deco.nodes)):
         bag = deco.bag(t)
@@ -246,7 +247,7 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
         pos = {v: i for i, v in enumerate(ids)}
         local_bag = [pos[v] for v in bag]
         try:
-            verdict = check_by_separators(sub, local_bag, q, k)
+            verdict = check_exhaustively(sub, local_bag, q, k)
         except SizeGuardError:
             report.skipped.append(t)
             continue

@@ -153,8 +153,8 @@ def test_ssmc_source_out_of_range_exits_one(tmp_path, capsys):
 
 def test_decompose_beyond_enumeration_limit_exits_one(tmp_path, capsys):
     # at k = 5 a path's checks fit no strategy: no vertex has degree above
-    # k, the nets exceed the partition limit, and C(60, <=5) separators
-    # exceed the sweep's
+    # k, the nets exceed the partition limit, and the sweep's DFS passes
+    # (about 5.9 million at n = 60) exceed its limit
     code, out, _ = run(capsys, "gen", "--model", "path", "--n", "60",
                        "--seed", "0")
     path = write_graph(tmp_path, "p60.txt", out)

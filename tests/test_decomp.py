@@ -63,6 +63,43 @@ def test_path_100_counts_and_depth():
     assert_all_valid(g, deco, adhesion_bound=2 * 5)
 
 
+def test_sparse_graph_at_k3_with_110_vertices():
+    # a connected graph with m = 1.35 (n - 1), n = 110, at k = 3: the nets'
+    # checks reach the separator sweep, which reads its 221,926 candidate
+    # sets of size <= 3 off 6,106 DFS passes, within the sweep's limit
+    rng = random.Random(4)
+    n = 110
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(edges) < round(1.35 * (n - 1)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = Graph(n, sorted(edges))
+    deco, rep = decompose(g, 3, 1, rng=random.Random(0))
+    params = variant_parameters(3, 1)[VARIANT_STANDARD]
+    assert_all_valid(g, deco, params["adhesion_bound"])
+    unb = verify_subtree_unbreakability(g, deco, params["q_bound"], 3)
+    assert unb.ok and not unb.skipped and unb.checked
+
+
+def test_verifier_checks_small_bags_over_the_sweep_limit(monkeypatch):
+    # with the sweep's limit at 0 every subtree graph is over it, yet a bag
+    # within the partition limit is still checked, by partitions or by the
+    # sweep; only when that limit is lowered too are bags skipped
+    from qktree import config
+
+    g = connected_gnp(16, 0.25, 3)
+    deco, _ = decompose(g, 1, 1, rng=random.Random(2))
+    reference = verify_subtree_unbreakability(g, deco, 1, 1)
+    assert reference.checked and not reference.skipped
+    monkeypatch.setattr(config, "SEPARATOR_SWEEP_LIMIT", 0)
+    unb = verify_subtree_unbreakability(g, deco, 1, 1)
+    assert unb.checked == reference.checked and not unb.skipped
+    assert unb.failures == reference.failures
+    monkeypatch.setattr(config, "UNBREAKABLE_ENUM_LIMIT", 0)
+    unb = verify_subtree_unbreakability(g, deco, 1, 1)
+    assert unb.skipped
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_graphs_standard(seed):
     rng = random.Random(seed)

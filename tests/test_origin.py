@@ -46,8 +46,8 @@ def test_path_witness():
 
 def test_size_guard():
     # |w| = 60 is over the partition strategy's limit, no vertex has degree
-    # above k for the core strategy, and the sweep would try C(60, <=5)
-    # separators
+    # above k for the core strategy, and the sweep would make 5,950,978 DFS
+    # passes
     g = path_graph(60)
     with pytest.raises(SizeGuardError):
         check_unbreakable(g, range(60), 5, 5)
@@ -174,6 +174,21 @@ def test_core_strategy_padded_witness():
     assert {x, y} < cut.separator
     assert _check_by_core(g, w, 4, 3) == UNBREAKABLE
     assert check_by_separators(g, w, 4, 3) == UNBREAKABLE
+
+
+def test_core_strategy_runs_unbudgeted_where_the_sweep_refuses(monkeypatch):
+    from qktree import config
+
+    g = gnp(20, 0.5, 5)
+    expected = check_by_separators(g, range(20), 3, 3)
+    monkeypatch.setattr(config, "SEPARATOR_SWEEP_LIMIT", 0)
+    monkeypatch.setattr(config, "UNBREAKABLE_ENUM_LIMIT", 0)
+    with pytest.raises(SizeGuardError):
+        check_by_separators(gnp(20, 0.5, 5), range(20), 3, 3)
+    verdict = check_unbreakable(gnp(20, 0.5, 5), range(20), 3, 3)
+    assert (verdict == UNBREAKABLE) == (expected == UNBREAKABLE)
+    if verdict != UNBREAKABLE:
+        assert_witness(g, range(20), 3, 3, verdict)
 
 
 def test_core_strategy_gives_up_on_its_budget():
