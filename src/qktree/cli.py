@@ -129,6 +129,14 @@ def _verify_decomposition(g, deco, k, epsilon, variant) -> List[str]:
         if not res.passed:
             problems.append(f"{res.name}: {res.detail}")
     report = verify_subtree_unbreakability(g, deco, params["q_bound"], k)
+    if report.skipped:
+        total = len(report.checked) + len(report.skipped)
+        print(
+            f"warning: {len(report.skipped)} of {total} bags not checked "
+            f"(over the exhaustive check's limits): "
+            f"{', '.join(map(str, report.skipped))}",
+            file=sys.stderr,
+        )
     for t, cut in report.failures:
         problems.append(
             f"unbreakability: bag {t} splits along a cut of size {cut.size}"

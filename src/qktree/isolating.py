@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List
 
 from .core import Graph, VertexCut, connected_components, neighborhood
 from .flow import (
@@ -11,15 +11,6 @@ from .flow import (
     PreconditionError,
     minimal_side_mincut,
 )
-
-
-class IsolatingCuts(list):
-    """List of per-terminal cuts; `fallback_used` flags any defensive
-    recomputation triggered by a runtime disjointness failure."""
-
-    def __init__(self, cuts: Iterable[VertexCut], fallback_used: bool = False):
-        super().__init__(cuts)
-        self.fallback_used = fallback_used
 
 
 def _check_independent(g: Graph, terms: List[int]) -> None:
@@ -56,7 +47,7 @@ def pairwise_disjoint(cuts: Iterable[VertexCut]) -> bool:
 
 def isolating_vertex_cuts(
     cg: CapacitatedGraph, w: Iterable[int], naive: bool = False
-) -> IsolatingCuts:
+) -> List[VertexCut]:
     """For each terminal, a mincut separating it from the other terminals.
 
     Terminals must form an independent set of size >= 2 (capacities INF).
@@ -75,7 +66,7 @@ def isolating_vertex_cuts(
         cuts = [
             _single_terminal_mincut(cg, t, term_set - {t}) for t in terms
         ]
-        return IsolatingCuts(cuts)
+        return cuts
 
     # phase 1: log|W| set-to-set mincuts along the bit code classes
     bits = max(1, (len(terms) - 1).bit_length())
@@ -100,7 +91,6 @@ def isolating_vertex_cuts(
             if t in comp:
                 comp_of[t] = comp
     cuts: List[VertexCut] = []
-    fallback = False
     all_vertices = frozenset(range(g.n))
     for t in terms:
         u_w = comp_of[t]
@@ -142,12 +132,11 @@ def isolating_vertex_cuts(
         sep = frozenset(ids[i] for i in res.mincut.separator if i != sink)
         cuts.append(VertexCut(left_only | sep, all_vertices - left_only))
 
-    # defensive recheck: on any ordered-disjointness failure, fall back to a
-    # direct per-terminal mincut for the offending terminal
-    for i, t in enumerate(terms):
-        for j in range(len(terms)):
-            if i != j and not ordered_disjoint(cuts[i], cuts[j]):
-                cuts[i] = _single_terminal_mincut(cg, t, term_set - {t})
-                fallback = True
-                break
-    return IsolatingCuts(cuts, fallback_used=fallback)
+    # These cuts are pairwise ordered-disjoint. The residual components U_t
+    # are disjoint, and each N(U_t) lies in the removed separators. A cut's
+    # L\R lies in U_t ∪ N(U_t), and a vertex of N(U_t) with a neighbour
+    # outside U_t ∪ N(U_t) is joined to the super sink, so it cannot be in
+    # L\R. Every other cut's L lies in U_t' ∪ N(U_t'): it misses U_t, and
+    # its vertices in N(U_t) have a neighbour in U_t', outside U_t ∪ N(U_t).
+    assert pairwise_disjoint(cuts)
+    return cuts

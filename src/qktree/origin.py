@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
 from . import config
 from .core import (
@@ -140,8 +140,9 @@ _PROFILED_SIZES = 3
 
 
 def _disconnecting_separators(g: Graph, k: int):
-    """All vertex sets of size <= k whose removal leaves >= 2 components,
-    with those components, ascending by (size, lexicographic members).
+    """Yields lazily every vertex set of size <= k whose removal leaves >= 2
+    components, as (mask, components), ascending by (size, lexicographic
+    members); a caller that stops early pays only for what it read.
 
     Sizes 1.._PROFILED_SIZES are read off one DFS forest of the graph minus
     each smaller prefix (its cut vertices, and the components they leave)
@@ -151,58 +152,36 @@ def _disconnecting_separators(g: Graph, k: int):
     at k = 4 (1.04 s against 0.81 s per 30 instances, median of 3 runs on
     a 2-core host).
     """
+    if k < 0:
+        return
     n = g.n
     base = components_masks(g, 0)
-    out = [(0, base)] if len(base) >= 2 and k >= 0 else []
-    last = min(k, _PROFILED_SIZES)
-    prefixes = [0]  # all vertex sets of size `size - 1`, ascending
-    for size in range(1, last + 1):
-        longer = []
-        for prefix in prefixes:
-            profile = _removal_profile(g, prefix)
+    if len(base) >= 2:
+        yield 0, base
+    for size in range(1, min(k, _PROFILED_SIZES) + 1):
+        for prefix in combinations(range(n), size - 1):
+            pmask = set_to_mask(prefix)
+            profile = _removal_profile(g, pmask)
             count = profile[3]
-            for w in range(prefix.bit_length(), n):
-                smask = prefix | (1 << w)
+            for w in range(pmask.bit_length(), n):
                 if count[w] >= 2:
-                    out.append((smask, _components_without(profile, w)))
-                if size < last:
-                    longer.append(smask)
-        prefixes = longer
+                    yield pmask | 1 << w, _components_without(profile, w)
     for size in range(_PROFILED_SIZES + 1, min(k, n) + 1):
         for sep in combinations(range(n), size):
             smask = set_to_mask(sep)
             comps = components_masks(g, smask)
             if len(comps) >= 2:
-                out.append((smask, comps))
-    return out
+                yield smask, comps
 
 
-def _separator_cache(g: Graph) -> dict:
-    """g's lists of disconnecting separators, by bound."""
-    return g._caches.setdefault("separators", {})
-
-
-def _separator_candidates(g: Graph, k: int):
-    """Cached list of disconnecting (separator mask, components) pairs; the
-    refinement loops re-certify the same graph many times, so the
-    enumeration is done once per (graph, bound)."""
-    cache = _separator_cache(g)
-    found = cache.get(k)
-    if found is None:
-        cache[k] = found = _disconnecting_separators(g, k)
-    return found
-
-
-def _sweep_passes(g: Graph, k: int) -> int:
-    """DFS passes that _separator_candidates makes for g and k: one removal
-    profile per prefix of a profiled size, one component search per
-    candidate of a larger size; none once the list is cached."""
-    if k in _separator_cache(g):
-        return 0
+def _sweep_passes(n: int, k: int) -> int:
+    """DFS passes that _disconnecting_separators makes when read to the
+    end, on n vertices: one removal profile per prefix of a profiled size,
+    one component search per candidate of a larger size."""
     return sum(
-        math.comb(g.n, s) for s in range(min(k, _PROFILED_SIZES))
+        math.comb(n, s) for s in range(min(k, _PROFILED_SIZES))
     ) + sum(
-        math.comb(g.n, s) for s in range(_PROFILED_SIZES + 1, min(k, g.n) + 1)
+        math.comb(n, s) for s in range(_PROFILED_SIZES + 1, min(k, n) + 1)
     )
 
 
@@ -212,7 +191,7 @@ def _sweep_allowed(g: Graph, wlen: int, k: int) -> bool:
     checked, by the cheaper of the two strategies."""
     return (
         wlen <= config.UNBREAKABLE_ENUM_LIMIT
-        or _sweep_passes(g, k) <= config.SEPARATOR_SWEEP_LIMIT
+        or _sweep_passes(g.n, k) <= config.SEPARATOR_SWEEP_LIMIT
     )
 
 
@@ -231,14 +210,14 @@ def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
         return UNBREAKABLE
     if not _sweep_allowed(g, len(wset), k):
         raise SizeGuardError(
-            f"n={g.n}, k={k} needs {_sweep_passes(g, k)} separator-sweep "
+            f"n={g.n}, k={k} needs {_sweep_passes(g.n, k)} separator-sweep "
             f"passes, over the limit {config.SEPARATOR_SWEEP_LIMIT}, and "
             f"|w| = {len(wset)} exceeds the partition limit "
             f"{config.UNBREAKABLE_ENUM_LIMIT}"
         )
     wmask = set_to_mask(wset)
     full = (1 << g.n) - 1
-    for smask, comps in _separator_candidates(g, k):
+    for smask, comps in _disconnecting_separators(g, k):
         q2 = q - bin(smask & wmask).count("1")
         if q2 < 0:
             left = comps[0]
@@ -275,41 +254,33 @@ def _partitions_cheaper(g: Graph, wlen: int, q: int, k: int) -> bool:
 def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
     """Enumerate forced-separator subsets of w plus partitions of the rest,
     one bounded flow each; exact (requires q >= k)."""
-    n = g.n
-    wlen = len(w)
-    for s_size in range(0, min(k, wlen) + 1):
+    full = (1 << g.n) - 1
+    for s_size in range(0, min(k, len(w)) + 1):
         for forced in combinations(w, s_size):
             q2 = q - s_size  # >= 0 since s_size <= k <= q
-            rest = [v for v in w if v not in forced]
+            fmask = set_to_mask(forced)
+            rest = [v for v in w if not (fmask >> v) & 1]
             if len(rest) < 2 * (q2 + 1):
                 continue
-            sub, ids = induced_subgraph(g, set(range(n)) - set(forced))
-            pos = {v: i for i, v in enumerate(ids)}
-            cg = unit_capacities(sub)
-            bound = k - s_size
-            rest_local = [pos[v] for v in rest]
-            anchor = rest_local[0]
-            others = rest_local[1:]
+            rmask = set_to_mask(rest)
+            anchor, others = rest[0], rest[1:]
+            flows = _Flows(g, math.inf)  # holds one network, g minus forced
             for bitsel in range(1 << len(others)):
-                side_a = {anchor} | {
-                    others[i] for i in range(len(others)) if (bitsel >> i) & 1
-                }
-                if not (q2 < len(side_a) < len(rest_local) - q2):
+                if not q2 < 1 + bin(bitsel).count("1") < len(rest) - q2:
                     continue
-                side_b = set(rest_local) - side_a
-                res = bounded_vertex_maxflow(
-                    cg,
-                    frozenset(side_a),
-                    frozenset(side_b),
-                    bound,
-                    cut_sources=True,
-                    cut_sinks=True,
+                side_a = 1 << anchor | set_to_mask(
+                    v for i, v in enumerate(others) if (bitsel >> i) & 1
                 )
-                if res.value != EXCEEDS_BOUND:
-                    cut = res.mincut
-                    left = {ids[i] for i in cut.L} | set(forced)
-                    right = {ids[i] for i in cut.R} | set(forced)
-                    return VertexCut(frozenset(left), frozenset(right))
+                sep = flows.cut(
+                    fmask, side_a, rmask & ~side_a, k - s_size,
+                    cut_sources=True, cut_sinks=True,
+                )
+                if sep is not None:
+                    reach = _reach(g, side_a, fmask | sep)
+                    return VertexCut(
+                        mask_to_set(reach | sep | fmask),
+                        mask_to_set(full & ~reach),
+                    )
     return UNBREAKABLE
 
 
@@ -517,9 +488,9 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
       each subset of w of size <= k into the separator and run one
       bounded flow per 2-partition of the rest;
     - the separator sweep (at most config.SEPARATOR_SWEEP_LIMIT DFS
-      passes, or any w within the partition limit): list every vertex set
-      of size <= k that disconnects g, once per graph and bound, and look
-      for a split of its components;
+      passes, or any w within the partition limit): go through the vertex
+      sets of size <= k that disconnect g, smallest first, and stop at the
+      first whose components split w;
     - the core strategy (q >= k, more than q vertices of w of degree
       > k): bounded flows and important separators, below; it gives up
       after as many augmenting-path searches as the sweep makes DFS
@@ -527,10 +498,9 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
 
     Partitions run when their flows number under an eighth of the sweep's
     candidates. Otherwise the core strategy runs when its estimate,
-    (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes (none
-    once the sweep's list for g is cached), and else the sweep. Where the
-    sweep's guard refuses, the core strategy runs whenever it applies,
-    with no budget.
+    (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes, and
+    else the sweep. Where the sweep's guard refuses, the core strategy
+    runs whenever it applies, with no budget.
     check_exhaustively is the same choice without the core strategy.
 
     The core strategy picks, greedily by degree, a core C of w-vertices of
@@ -563,7 +533,7 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
-    passes = _sweep_passes(g, k)
+    passes = _sweep_passes(g.n, k)
     swept = _sweep_allowed(g, len(wset), k)
     if (
         q >= k

@@ -99,6 +99,25 @@ def test_verify_verb_accepts_and_rejects(gnp_file, tmp_path, capsys):
     assert code == 2 and "FAIL" in out
 
 
+def test_verify_reports_skipped_bags(tmp_path, capsys):
+    # at k = 4 the root bag of this G(60, 0.08) graph needs 523,686 sweep
+    # candidates, over the exhaustive check's limits; the other bags are
+    # checked, so the verdict stays OK and exit 0, with one stderr line
+    code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
+                       "--prob", "0.08", "--seed", "0")
+    graph = write_graph(tmp_path, "g60.txt", out)
+    code, deco_json, err = run(capsys, "decompose", graph, "--k", "4",
+                               "--seed", "1", "--verify")
+    assert code == 0 and err.startswith("warning: 1 of ")
+    deco = write_graph(tmp_path, "deco.json", deco_json)
+    code, out, err = run(capsys, "verify", graph, deco, "--k", "4")
+    assert code == 0 and out == "OK\n"
+    assert err.startswith("warning: 1 of ") and err.count("\n") == 1
+    assert err.endswith(
+        " bags not checked (over the exhaustive check's limits): 0\n"
+    )
+
+
 def test_pwaycut_with_oracle(gnp_file, capsys):
     args = ("pwaycut", gnp_file, "--p", "2", "--k", "3", "--seed", "4", "--oracle")
     code1, out1, _ = run(capsys, *args)

@@ -106,9 +106,64 @@ def test_both_strategies_agree():
             assert_witness(g, w, q, k, by_sep)
 
 
+def test_disconnecting_separators_match_brute_force():
+    # every vertex set of size <= k whose removal leaves >= 2 components,
+    # with those components, in (size, lexicographic) order; sparse draws
+    # give disconnected graphs, where the empty set and cut vertices of
+    # each component count too
+    from qktree.origin import _disconnecting_separators
+
+    for seed in range(600):
+        rng = random.Random(seed)
+        g = gnp(rng.randint(0, 14), rng.uniform(0.05, 0.6), seed)
+        k = rng.randint(-1, 5)
+        expected = []
+        for size in range(k + 1):
+            for sep in combinations(range(g.n), size):
+                comps = components_masks(g, set_to_mask(sep))
+                if len(comps) >= 2:
+                    expected.append((set_to_mask(sep), comps))
+        assert list(_disconnecting_separators(g, k)) == expected, (
+            seed, g.edges(), k
+        )
+
+
+def test_sweep_stops_at_the_first_split(monkeypatch):
+    # on a path the 6th vertex already cuts off 6 of w = everything, more
+    # than q = 5, so one DFS forest (the size-1 profile) answers the check;
+    # the whole sweep makes 1 + 60 + C(60, 2) = 1,831
+    import qktree.origin as origin
+
+    calls = []
+    profile = origin._removal_profile
+    monkeypatch.setattr(
+        origin, "_removal_profile", lambda *args: calls.append(1) or profile(*args)
+    )
+    g = path_graph(60)
+    cut = check_by_separators(g, range(60), 5, 3)
+    assert cut != UNBREAKABLE
+    assert_witness(g, range(60), 5, 3, cut)
+    assert len(calls) == 1
+
+
+def test_check_unbreakable_does_not_depend_on_earlier_checks():
+    # the strategy, and so the witness, does not depend on which checks
+    # ran before on the same graph object: the sweep's cost, which picks
+    # between the core strategy and the sweep here, is that of a full sweep
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    for seed in range(10):
+        rng = random.Random(seed)
+        edges = rng.sample(pairs, 142)
+        w = rng.sample(range(60), 27)
+        fresh = check_unbreakable(Graph(60, edges), w, 3, 3)
+        g = Graph(60, edges)
+        check_by_separators(g, range(60), 3, 3)
+        assert check_unbreakable(g, w, 3, 3) == fresh, seed
+
+
 def test_core_strategy_matches_sweep():
     # 3,200 instances: 800 graphs (n 6-22, k 1-4), four (w, q) draws each
-    # with q from k to k + 2, so each graph's sweep list is built once
+    # with q from k to k + 2
     answered = breakable = 0
     for seed in range(800):
         rng = random.Random(700000 + seed)
