@@ -13,12 +13,11 @@ from .core import (
     SizeGuardError,
     VertexCut,
     connected_components,
-    induced_subgraph,
     is_connected,
     neighborhood,
     torso,
 )
-from .flow import CapacitatedGraph, INF, minimal_side_mincut, with_new_vertices
+from .flow import INF, bounded_vertex_maxflow, unit_capacities, with_new_vertices
 from .isolating import ordered_disjoint
 from .ssmc import CutCollection, single_source_mincut_cover
 
@@ -118,11 +117,13 @@ def make_lean(ctx: WitnessContext, cuts: CutCollection) -> CutCollection:
     """Replace each witness (L,R) by a lean witness (L',R') with
     L'\\R' ⊆ L\\R and |(L'\\R')∩T| >= |(L\\R)∩T| / (k'+1).
 
-    For each cut, a unit-capacity mincut is taken in G[L] minus the edges
-    inside L∩R, between L∩T (sources) and L∩R (sinks); the source side
-    becomes L' and everything else R'. Outputs stay pairwise disjoint.
+    For each cut, a unit-capacity mincut is taken in G[L] minus L∩R∩T
+    (the flow removes every other vertex), between the rest of L∩T
+    (sources) and of L∩R (sinks); the source side becomes L' and
+    everything else R'. An edge inside L∩R joins two sinks, and no
+    augmenting path passes through it. Outputs stay pairwise disjoint.
     """
-    g = ctx.g
+    cg = unit_capacities(ctx.g)
     out: CutCollection = []
     for cut in cuts:
         overlap = cut.separator & ctx.t_set  # forced into the new separator
@@ -133,27 +134,17 @@ def make_lean(ctx: WitnessContext, cuts: CutCollection) -> CutCollection:
             # single-vertex paths
             out.append(cut)
             continue
-        sub, ids = induced_subgraph(
-            g, cut.L - overlap, drop_within=cut.separator
-        )
-        pos = {v: i for i, v in enumerate(ids)}
-        cg = CapacitatedGraph(sub, tuple(1 for _ in ids))
-        res = minimal_side_mincut(
+        res = bounded_vertex_maxflow(
             cg,
-            frozenset(pos[v] for v in sources),
-            frozenset(pos[v] for v in sinks),
+            sources,
+            sinks,
             bound=len(cut.separator),
             cut_sources=True,
             cut_sinks=True,
+            removed=cut.right_only | overlap,
         )
         assert res.mincut is not None
-        new_l = frozenset(ids[i] for i in res.mincut.L) | overlap
-        new_r = (
-            frozenset(ids[i] for i in res.mincut.R)
-            | overlap
-            | (cut.R - cut.L)
-        )
-        out.append(VertexCut(new_l, new_r))
+        out.append(VertexCut(res.mincut.L | overlap, res.mincut.R))
     return out
 
 

@@ -12,7 +12,7 @@ UNBREAKABLE_ENUM_LIMIT = 24
 # 4..k. At the limit k = 3 reaches n = 446 and k = 4 reaches n = 40. On a
 # 2-core host a full sweep took 2.3-2.8 s at k = 4 with 195,757 passes
 # (n = 48, 90 edges), and 60 s at k = 3 with 80,201 passes (n = 400,
-# m = 1.35 n). Over the limit the core strategy runs with no budget; a
+# m = 1.35 n). Over the limit the core strategy runs where it applies; a
 # check that no strategy takes raises SizeGuardError.
 SEPARATOR_SWEEP_LIMIT = 100_000
 

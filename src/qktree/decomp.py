@@ -98,7 +98,7 @@ class DecompositionReport:
     """Summary quantities recomputed from a finished decomposition."""
 
     q_bound: int
-    adhesion_bound: int
+    max_adhesion: int
     depth: int
     node_count: int
     total_bag_size: int
@@ -229,7 +229,7 @@ def decompose(
             )
     report = DecompositionReport(
         q_bound=params["q_bound"],
-        adhesion_bound=deco.max_adhesion(),
+        max_adhesion=deco.max_adhesion(),
         depth=deco.depth(),
         node_count=len(deco.nodes),
         total_bag_size=deco.total_bag_size(),

@@ -5,12 +5,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List
 
 from .core import Graph, VertexCut, connected_components, neighborhood
-from .flow import (
-    INF,
-    CapacitatedGraph,
-    PreconditionError,
-    minimal_side_mincut,
-)
+from .flow import CapacitatedGraph, PreconditionError, bounded_vertex_maxflow
 
 
 def _check_independent(g: Graph, terms: List[int]) -> None:
@@ -26,7 +21,7 @@ def _check_independent(g: Graph, terms: List[int]) -> None:
 def _single_terminal_mincut(
     cg: CapacitatedGraph, w: int, others: FrozenSet[int]
 ) -> VertexCut:
-    res = minimal_side_mincut(cg, frozenset([w]), others, bound=cg.base.n)
+    res = bounded_vertex_maxflow(cg, frozenset([w]), others, bound=cg.base.n)
     assert res.mincut is not None
     return res.mincut
 
@@ -76,7 +71,7 @@ def isolating_vertex_cuts(
         ones = frozenset(t for i, t in enumerate(terms) if (i >> b) & 1)
         if not zeros or not ones:
             continue
-        res = minimal_side_mincut(cg, zeros, ones, bound=g.n)
+        res = bounded_vertex_maxflow(cg, zeros, ones, bound=g.n)
         if res.mincut is None:
             raise PreconditionError(
                 "PRECONDITION_INFINITE_CUT",
@@ -99,44 +94,22 @@ def isolating_vertex_cuts(
             # the terminal's component is already detached from everything else
             cuts.append(VertexCut(u_w, all_vertices - u_w))
             continue
-        # keep U_w and its boundary as real (cuttable) vertices; contract
-        # everything beyond them into a single super sink
-        keep = set(u_w) | set(boundary)
-        ids = sorted(keep)
-        pos = {v: i for i, v in enumerate(ids)}
-        sink = len(ids)
-        edges = []
-        for v in ids:
-            attached = False
-            for u in g.adj[v]:
-                if u in pos:
-                    if v < u:
-                        edges.append((pos[v], pos[u]))
-                elif not attached:
-                    edges.append((pos[v], sink))
-                    attached = True
-        local = Graph(len(ids) + 1, edges)
-        caps = tuple(cg.capacity[v] for v in ids) + (INF,)
-        res = minimal_side_mincut(
-            CapacitatedGraph(local, caps),
-            frozenset([pos[t]]),
-            frozenset([sink]),
-            bound=g.n,
-        )
+        # a flow from t to the vertices beyond U_w and its boundary,
+        # which are uncuttable, so the cut lies in U_w ∪ N(U_w)
+        beyond = neighborhood(g, u_w | boundary)
+        res = bounded_vertex_maxflow(cg, frozenset([t]), beyond, bound=g.n)
         if res.mincut is None:
             raise PreconditionError(
                 "PRECONDITION_INFINITE_CUT",
                 f"no finite cut isolates terminal {t}",
             )
-        left_only = frozenset(ids[i] for i in res.mincut.left_only)
-        sep = frozenset(ids[i] for i in res.mincut.separator if i != sink)
-        cuts.append(VertexCut(left_only | sep, all_vertices - left_only))
+        cuts.append(res.mincut)
 
     # These cuts are pairwise ordered-disjoint. The residual components U_t
     # are disjoint, and each N(U_t) lies in the removed separators. A cut's
     # L\R lies in U_t ∪ N(U_t), and a vertex of N(U_t) with a neighbour
-    # outside U_t ∪ N(U_t) is joined to the super sink, so it cannot be in
-    # L\R. Every other cut's L lies in U_t' ∪ N(U_t'): it misses U_t, and
+    # outside U_t ∪ N(U_t) is next to an uncuttable sink, so it cannot be
+    # in L\R. Every other cut's L lies in U_t' ∪ N(U_t'): it misses U_t, and
     # its vertices in N(U_t) have a neighbour in U_t', outside U_t ∪ N(U_t).
     assert pairwise_disjoint(cuts)
     return cuts

@@ -13,12 +13,11 @@ from .core import (
     VertexCut,
     components_masks,
     connected_components,
-    induced_subgraph,
     is_connected,
     mask_to_set,
     set_to_mask,
 )
-from .flow import bounded_vertex_maxflow, unit_capacities, EXCEEDS_BOUND
+from .flow import CapacitatedGraph, bounded_vertex_maxflow, unit_capacities, EXCEEDS_BOUND
 
 UNBREAKABLE = "UNBREAKABLE"
 
@@ -29,7 +28,6 @@ def _split_counts(counts: List[int], lo: int, hi: int) -> Optional[List[int]]:
     lo >= 1 is assumed, so the chosen subset is nonempty and (because the
     complement's count is also positive) proper.
     """
-    total = sum(counts)
     if hi < lo:
         return None
     # suffix_achieve[i] = bitset of sums formable from counts[i:]
@@ -255,6 +253,7 @@ def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
     """Enumerate forced-separator subsets of w plus partitions of the rest,
     one bounded flow each; exact (requires q >= k)."""
     full = (1 << g.n) - 1
+    cg = unit_capacities(g)
     for s_size in range(0, min(k, len(w)) + 1):
         for forced in combinations(w, s_size):
             q2 = q - s_size  # >= 0 since s_size <= k <= q
@@ -264,15 +263,14 @@ def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
                 continue
             rmask = set_to_mask(rest)
             anchor, others = rest[0], rest[1:]
-            flows = _Flows(g, math.inf)  # holds one network, g minus forced
             for bitsel in range(1 << len(others)):
                 if not q2 < 1 + bin(bitsel).count("1") < len(rest) - q2:
                     continue
                 side_a = 1 << anchor | set_to_mask(
                     v for i, v in enumerate(others) if (bitsel >> i) & 1
                 )
-                sep = flows.cut(
-                    fmask, side_a, rmask & ~side_a, k - s_size,
+                sep = _cut(
+                    cg, fmask, side_a, rmask & ~side_a, k - s_size,
                     cut_sources=True, cut_sinks=True,
                 )
                 if sep is not None:
@@ -284,46 +282,20 @@ def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
     return UNBREAKABLE
 
 
-class _BudgetSpent(Exception):
-    """The core strategy's flow budget ran out."""
-
-
-class _Flows:
-    """Bounded flows in g minus a deleted vertex set, in g's vertex ids and
-    masks. Each flow's augmenting-path searches (its value plus one, or
-    bound + 2 once it exceeds the bound) are charged to a budget; the
-    flow that overdraws it raises _BudgetSpent."""
-
-    def __init__(self, g: Graph, budget: float):
-        self.g = g
-        self.budget = budget
-        self.nets = {}  # deleted mask -> (capacities, local -> g ids, g -> local ids)
-
-    def cut(self, deleted: int, sources: int, sinks: int, bound: int, **flags):
-        """The separator mask of the sources-sinks mincut in g minus the
-        deleted vertices (bounded_vertex_maxflow's, nearest the sources),
-        or None when the flow exceeds the bound."""
-        entry = self.nets.get(deleted)
-        if entry is None:
-            sub, ids = induced_subgraph(
-                self.g, mask_to_set(((1 << self.g.n) - 1) & ~deleted)
-            ) if deleted else (self.g, list(range(self.g.n)))
-            pos = {v: i for i, v in enumerate(ids)}
-            entry = self.nets[deleted] = (unit_capacities(sub), ids, pos)
-        cg, ids, pos = entry
-        res = bounded_vertex_maxflow(
-            cg,
-            [pos[v] for v in mask_to_set(sources)],
-            [pos[v] for v in mask_to_set(sinks)],
-            bound,
-            **flags,
-        )
-        self.budget -= bound + 2 if res.value == EXCEEDS_BOUND else res.value + 1
-        if self.budget < 0:
-            raise _BudgetSpent
-        if res.value == EXCEEDS_BOUND:
-            return None
-        return set_to_mask(ids[i] for i in res.mincut.separator)
+def _cut(
+    cg: CapacitatedGraph, deleted: int, sources: int, sinks: int, bound: int,
+    **flags,
+):
+    """The separator mask of the sources-sinks mincut in cg minus the
+    deleted vertices (bounded_vertex_maxflow's, nearest the sources), or
+    None when the flow exceeds the bound. Sets are vertex masks."""
+    res = bounded_vertex_maxflow(
+        cg, mask_to_set(sources), mask_to_set(sinks), bound,
+        removed=mask_to_set(deleted), **flags,
+    )
+    if res.value == EXCEEDS_BOUND:
+        return None
+    return set_to_mask(res.mincut.separator)
 
 
 def _reach(g: Graph, xmask: int, removed: int) -> int:
@@ -335,20 +307,23 @@ def _reach(g: Graph, xmask: int, removed: int) -> int:
     return out
 
 
-def _furthest_cut(flows: _Flows, xmask: int, cmask: int, k: int, deleted: int):
+def _furthest_cut(
+    cg: CapacitatedGraph, xmask: int, cmask: int, k: int, deleted: int
+):
     """The x-c mincut furthest from x in g minus `deleted` (from the flow
     run from c's side, c cuttable) and the vertices x reaches in front of
     it, or None when the mincut exceeds k - |deleted|."""
-    sep = flows.cut(
-        deleted, cmask, xmask, k - bin(deleted).count("1"), cut_sources=True
+    sep = _cut(
+        cg, deleted, cmask, xmask, k - bin(deleted).count("1"), cut_sources=True
     )
     if sep is None:
         return None
-    return sep, _reach(flows.g, xmask, deleted | sep)
+    return sep, _reach(cg.base, xmask, deleted | sep)
 
 
 def _important_separators(
-    flows: _Flows, xmask: int, cmask: int, k: int, deleted: int = 0, cut=None
+    cg: CapacitatedGraph, xmask: int, cmask: int, k: int, deleted: int = 0,
+    cut=None,
 ):
     """Every important (x, c)-separator of size <= k in g minus `deleted`,
     united with `deleted`, possibly among other x-c separators; nothing
@@ -365,7 +340,7 @@ def _important_separators(
         yield deleted
         return
     if cut is None:
-        cut = _furthest_cut(flows, xmask, cmask, k, deleted)
+        cut = _furthest_cut(cg, xmask, cmask, k, deleted)
     if cut is None:
         return
     sep, front = cut
@@ -373,9 +348,9 @@ def _important_separators(
         yield deleted
         return
     v = sep & -sep
-    yield from _important_separators(flows, xmask, cmask & ~v, k, deleted | v)
+    yield from _important_separators(cg, xmask, cmask & ~v, k, deleted | v)
     if not cmask & v:
-        yield from _important_separators(flows, front | v, cmask, k, deleted)
+        yield from _important_separators(cg, front | v, cmask, k, deleted)
 
 
 def _padded_witness(g: Graph, amask: int, smask: int, wmask: int, q: int, k: int):
@@ -397,18 +372,15 @@ def _padded_witness(g: Graph, amask: int, smask: int, wmask: int, q: int, k: int
     return VertexCut(mask_to_set(side | smask | pad), mask_to_set(full & ~side))
 
 
-def _check_by_core(
-    g: Graph, w: Iterable[int], q: int, k: int, budget: float = math.inf
-):
+def _check_by_core(g: Graph, w: Iterable[int], q: int, k: int):
     """Exact check through a linked core and important separators; see
     check_unbreakable. None when the strategy does not apply (q < k, a
     core of at most k vertices, or at most q w-vertices that k vertices
-    cannot cut off from it) or its flows need more than `budget`
-    augmenting-path searches."""
+    cannot cut off from it)."""
     if q < k:
         return None
     wset = sorted(set(w))
-    flows = _Flows(g, budget)
+    cg = unit_capacities(g)
     adj = g.adj
     adjm = g.adj_masks()
 
@@ -417,51 +389,48 @@ def _check_by_core(
         return (
             (adjm[u] >> v) & 1
             or bin(adjm[u] & adjm[v]).count("1") > k
-            or flows.cut(0, 1 << u, 1 << v, k) is None
+            or _cut(cg, 0, 1 << u, 1 << v, k) is None
         )
 
-    try:
-        members = []  # the first k + 1 are the hubs
-        for v in sorted((v for v in wset if len(adj[v]) > k),
-                        key=lambda v: (-len(adj[v]), v)):
-            if all(linked(v, h) for h in members[:k + 1]):
-                members.append(v)
-        if len(members) <= k:
-            return None
-        core = set_to_mask(members)
-        pockets = [
-            v for v in wset
-            if not (core >> v) & 1 and (
-                len(adj[v]) <= k
-                or flows.cut(0, 1 << v, core, k, cut_sinks=True) is not None
-            )
-        ]
-        if len(wset) - len(pockets) <= q:
-            return None
-        if len(pockets) + k <= q:
-            return UNBREAKABLE
-        wmask = set_to_mask(wset)
-        # depth-first over pocket sets, each grown by pockets of higher
-        # index; entries are (set, index of the next pocket, its front)
-        stack = [(0, 0, 0)]
-        while stack:
-            amask, i, front = stack.pop()
-            if i == len(pockets):
-                continue
-            stack.append((amask, i + 1, front))
-            if (front >> pockets[i]) & 1:
-                continue  # in front of amask's furthest mincut: dominated
-            a = amask | 1 << pockets[i]
-            furthest = _furthest_cut(flows, a, core, k, 0)
-            if furthest is None:
-                continue  # the a-core mincut exceeds k, as for every superset
-            for smask in _important_separators(flows, a, core, k, cut=furthest):
-                cut = _padded_witness(g, a, smask, wmask, q, k)
-                if cut is not None:
-                    return cut
-            stack.append((a, i + 1, furthest[1]))
-    except _BudgetSpent:
+    members = []  # the first k + 1 are the hubs
+    for v in sorted((v for v in wset if len(adj[v]) > k),
+                    key=lambda v: (-len(adj[v]), v)):
+        if all(linked(v, h) for h in members[:k + 1]):
+            members.append(v)
+    if len(members) <= k:
         return None
+    core = set_to_mask(members)
+    pockets = [
+        v for v in wset
+        if not (core >> v) & 1 and (
+            len(adj[v]) <= k
+            or _cut(cg, 0, 1 << v, core, k, cut_sinks=True) is not None
+        )
+    ]
+    if len(wset) - len(pockets) <= q:
+        return None
+    if len(pockets) + k <= q:
+        return UNBREAKABLE
+    wmask = set_to_mask(wset)
+    # depth-first over pocket sets, each grown by pockets of higher
+    # index; entries are (set, index of the next pocket, its front)
+    stack = [(0, 0, 0)]
+    while stack:
+        amask, i, front = stack.pop()
+        if i == len(pockets):
+            continue
+        stack.append((amask, i + 1, front))
+        if (front >> pockets[i]) & 1:
+            continue  # in front of amask's furthest mincut: dominated
+        a = amask | 1 << pockets[i]
+        furthest = _furthest_cut(cg, a, core, k, 0)
+        if furthest is None:
+            continue  # the a-core mincut exceeds k, as for every superset
+        for smask in _important_separators(cg, a, core, k, cut=furthest):
+            cut = _padded_witness(g, a, smask, wmask, q, k)
+            if cut is not None:
+                return cut
+        stack.append((a, i + 1, furthest[1]))
     return UNBREAKABLE
 
 
@@ -492,15 +461,13 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
       sets of size <= k that disconnect g, smallest first, and stop at the
       first whose components split w;
     - the core strategy (q >= k, more than q vertices of w of degree
-      > k): bounded flows and important separators, below; it gives up
-      after as many augmenting-path searches as the sweep makes DFS
-      passes, and the sweep runs.
+      > k): bounded flows and important separators, below.
 
     Partitions run when their flows number under an eighth of the sweep's
     candidates. Otherwise the core strategy runs when its estimate,
-    (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes, and
-    else the sweep. Where the sweep's guard refuses, the core strategy
-    runs whenever it applies, with no budget.
+    (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes or
+    the sweep's guard refuses, and else the sweep; the sweep also answers
+    where the core strategy does not apply.
     check_exhaustively is the same choice without the core strategy.
 
     The core strategy picks, greedily by degree, a core C of w-vertices of
@@ -533,21 +500,18 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
-    passes = _sweep_passes(g.n, k)
-    swept = _sweep_allowed(g, len(wset), k)
     if (
         q >= k
         and not _too_few(len(wset), q, k)
         and not _partitions_cheaper(g, len(wset), q, k)
         and sum(len(g.adj[v]) > k for v in wset) > q
         and (
-            not swept
-            or (k + 1) * (math.comb(len(wset), 2) + len(wset)) < passes
+            (k + 1) * (math.comb(len(wset), 2) + len(wset))
+            < _sweep_passes(g.n, k)
+            or not _sweep_allowed(g, len(wset), k)
         )
     ):
-        verdict = _check_by_core(
-            g, wset, q, k, passes if swept else math.inf
-        )
+        verdict = _check_by_core(g, wset, q, k)
         if verdict is not None:
             return verdict
     return check_exhaustively(g, wset, q, k)

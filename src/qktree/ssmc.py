@@ -14,7 +14,6 @@ from .flow import (
     CapacitatedGraph,
     PreconditionError,
     bounded_vertex_maxflow,
-    minimal_side_mincut,
 )
 from .isolating import pairwise_disjoint
 
@@ -61,7 +60,7 @@ def _cuts_by_size(
         others = term_set - {t}
         cut = light_cut[t]
         if not cut.L.isdisjoint(others):
-            res = minimal_side_mincut(cg, {t}, others, bound=k)
+            res = bounded_vertex_maxflow(cg, {t}, others, bound=k)
             if res.value == EXCEEDS_BOUND:
                 continue
             cut = res.mincut

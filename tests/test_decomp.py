@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -124,6 +125,7 @@ def test_random_graphs_depth_reduced(seed):
         g, k, 1, VARIANT_DEPTH_REDUCED, rng=random.Random(seed), seed=seed
     )
     assert rep.depth <= 8 * math.ceil(math.log2(n))
+    assert rep.max_adhesion == deco.max_adhesion() <= params["adhesion_bound"]
     assert_all_valid(g, deco, adhesion_bound=params["adhesion_bound"])
     unb = verify_subtree_unbreakability(g, deco, params["q_bound"], k)
     assert unb.ok, unb.failures
@@ -159,7 +161,7 @@ def test_standard_below_epsilon_one(monkeypatch):
                 assert params["q_bound"] == 2 * lev * k + 3 * k
                 deco, rep = decompose(g, k, eps, rng=random.Random(i), seed=i)
                 assert rep.node_count <= g.n
-                assert deco.max_adhesion() <= params["adhesion_bound"]
+                assert rep.max_adhesion == deco.max_adhesion() <= params["adhesion_bound"]
                 assert_all_valid(g, deco, params["adhesion_bound"])
                 unb = verify_subtree_unbreakability(g, deco, params["q_bound"], k)
                 assert unb.ok and not unb.skipped, (i, eps, k, unb.failures, unb.skipped)
@@ -167,6 +169,24 @@ def test_standard_below_epsilon_one(monkeypatch):
     assert checked, "the verifier checked no bag"
     assert max(covers) == 3
     assert 2 in carves, "no carve ran at level 2"
+
+
+def test_decompose_leaves_no_reference_cycles():
+    # objects freed by reference counting alone leave nothing for the
+    # cyclic collector: a cycle through a graph would keep its split
+    # network and capacity lists alive until the next collection
+    from qktree.origin import _check_by_core
+
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    g = Graph(60, random.Random(1).sample(pairs, 142))
+    gc.collect()
+    gc.disable()
+    try:
+        decompose(g, 3, 1, rng=random.Random(1), seed=1)
+        assert _check_by_core(connected_gnp(20, 0.5, 5), range(20), 3, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_disconnected_input_components_share_one_root():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from qktree.core import Graph, connected_components
+from qktree.core import Graph, connected_components, induced_subgraph
 from qktree.flow import (
     EXCEEDS_BOUND,
     INF,
@@ -181,6 +181,59 @@ def test_flow_matches_separator_enumeration(block):
         for caps in (None, with_inf):
             for cut_sources, cut_sinks in FLAG_MODES:
                 check_against_enumeration(g, a, b, caps, cut_sources, cut_sinks)
+
+
+def test_removed_vertices_match_the_induced_subgraph():
+    """A flow that removes vertices has the value, and within the bound the
+    L\\R and separator, of the same flow on the subgraph the other
+    vertices induce; removed vertices may not be endpoints."""
+    compared = 0
+    for seed in range(1500):
+        rng = random.Random(900000 + seed)
+        n = rng.randint(3, 18)
+        g = gnp(n, rng.uniform(0.15, 0.5), seed)
+        caps = tuple(INF if rng.random() < 0.1 else 1 for _ in range(n))
+        verts = rng.sample(range(n), n)
+        a = set(verts[:rng.randint(1, 2)])
+        b = set(verts[len(a):len(a) + rng.randint(1, 2)])
+        removed = frozenset(
+            v for v in verts[len(a) + len(b):] if rng.random() < 0.35
+        )
+        flags = dict(zip(("cut_sources", "cut_sinks"), FLAG_MODES[seed % 4]))
+        bound = rng.randint(0, 5)
+        sub, ids = induced_subgraph(g, set(range(n)) - removed)
+        pos = {v: i for i, v in enumerate(ids)}
+        sub_cg = CapacitatedGraph(sub, tuple(caps[v] for v in ids))
+        try:
+            expected = bounded_vertex_maxflow(
+                sub_cg, {pos[v] for v in a}, {pos[v] for v in b}, bound, **flags
+            )
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                bounded_vertex_maxflow(
+                    CapacitatedGraph(g, caps), a, b, bound, removed=removed,
+                    **flags,
+                )
+            continue
+        res = bounded_vertex_maxflow(
+            CapacitatedGraph(g, caps), a, b, bound, removed=removed, **flags
+        )
+        assert res.value == expected.value, seed
+        compared += 1
+        if res.value == EXCEEDS_BOUND:
+            continue
+        assert res.mincut.left_only == {ids[i] for i in expected.mincut.left_only}
+        assert res.mincut.separator == {ids[i] for i in expected.mincut.separator}
+        assert removed <= res.mincut.right_only
+        if removed:
+            v = min(removed)
+            for ends in ((a | {v}, b), (a, b | {v})):
+                with pytest.raises(PreconditionError, match="REMOVED"):
+                    bounded_vertex_maxflow(
+                        CapacitatedGraph(g, caps), *ends, bound,
+                        removed=removed, **flags,
+                    )
+    assert compared >= 1000, compared
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -4,10 +4,10 @@ from itertools import combinations
 import pytest
 
 from qktree.core import Graph, SizeGuardError, components_masks, set_to_mask
+from qktree.flow import unit_capacities
 from qktree.origin import (
     UNBREAKABLE,
     _check_by_core,
-    _Flows,
     _important_separators,
     balanced_origin,
     check_by_separators,
@@ -231,7 +231,7 @@ def test_core_strategy_padded_witness():
     assert check_by_separators(g, w, 4, 3) == UNBREAKABLE
 
 
-def test_core_strategy_runs_unbudgeted_where_the_sweep_refuses(monkeypatch):
+def test_core_strategy_runs_where_the_sweep_refuses(monkeypatch):
     from qktree import config
 
     g = gnp(20, 0.5, 5)
@@ -244,12 +244,6 @@ def test_core_strategy_runs_unbudgeted_where_the_sweep_refuses(monkeypatch):
     assert (verdict == UNBREAKABLE) == (expected == UNBREAKABLE)
     if verdict != UNBREAKABLE:
         assert_witness(g, range(20), 3, 3, verdict)
-
-
-def test_core_strategy_gives_up_on_its_budget():
-    g = gnp(20, 0.5, 5)
-    assert _check_by_core(g, range(20), 3, 3, budget=1) is None
-    assert _check_by_core(g, range(20), 3, 3) is not None
 
 
 def test_check_unbreakable_takes_the_core_path_on_large_graphs(monkeypatch):
@@ -323,7 +317,7 @@ def test_important_separators_match_brute_force():
         xmask = set_to_mask(verts[:cut_at])
         cmask = set_to_mask(verts[cut_at:])
         k = rng.randint(1, 4)
-        found = list(_important_separators(_Flows(g, float("inf")), xmask, cmask, k))
+        found = list(_important_separators(unit_capacities(g), xmask, cmask, k))
         assert len(found) == len(set(found)) <= 4 ** k
         expected = brute_important_separators(g, xmask, cmask, k)
         assert expected <= set(found), (seed, g.edges(), xmask, cmask, k)
