@@ -4,7 +4,7 @@ disjoint-witness covers, and lean enforcement."""
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate, product
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import config
@@ -154,10 +154,14 @@ def color_family_general(
 ) -> List[ColorFunction]:
     """Seeded random family of colorings f: [universe_size] -> 1..len(sizes).
 
-    With probability >= 1 - n_ambient^(-c_fam), every tuple of disjoint sets
-    (A_1, ..., A_l) with |A_i| <= sizes[i] is simultaneously hit by some f
-    (A_i entirely colored i). Colors are drawn with probabilities
-    proportional to the target sizes.
+    Colors are drawn per vertex, with probabilities p_i proportional to the
+    trimmed target sizes, so one f hits a fixed tuple of disjoint sets with
+    |A_i| <= sizes[i] (A_i entirely colored i) with probability at least
+    p_succ = prod p_i^sizes[i]. The family draws count = min(ceil(C_FAM
+    ln(n_ambient) / p_succ), FAMILY_SIZE_LIMIT) colorings and drops
+    repeats, so it misses the tuple with probability at most
+    (1 - p_succ)^count: n_ambient^(-C_FAM) below the cap, but near 1 when
+    the cap binds and p_succ is small (see config.FAMILY_SIZE_LIMIT).
 
     trim="pack" shrinks class budgets by the room the earlier classes leave
     (disjoint sets cannot exceed the universe jointly); trim="each" only
@@ -167,17 +171,14 @@ def color_family_general(
     # class budgets beyond the universe size can never be realized by
     # disjoint sets; trim them before optimizing the color probabilities
     if trim == "pack":
-        trimmed = []
-        room = universe_size
-        for a in sizes:
-            a = min(a, room)
-            trimmed.append(a)
-            room -= a
+        sizes = [
+            min(a, max(0, universe_size - before))
+            for a, before in zip(sizes, accumulate(sizes, initial=0))
+        ]
     elif trim == "each":
-        trimmed = [min(a, universe_size) for a in sizes]
+        sizes = [min(a, universe_size) for a in sizes]
     else:
         raise ValueError(f"unknown trim mode {trim!r}")
-    sizes = trimmed
     total = sum(sizes)
     if total == 0:
         return [tuple(len(sizes) for _ in range(universe_size))]
@@ -185,28 +186,14 @@ def color_family_general(
     p_succ = math.prod(p ** a for p, a in zip(probs, sizes) if a > 0)
     count = max(1, math.ceil(config.C_FAM * math.log(max(n_ambient, 2)) / p_succ))
     count = min(count, config.FAMILY_SIZE_LIMIT)
-    cumulative = []
-    acc = 0.0
-    for p in probs:
-        acc += p
-        cumulative.append(acc)
-    family: List[ColorFunction] = []
-    seen = set()
-    for _ in range(count):
-        colors = []
-        for _ in range(universe_size):
-            x = rng.random()
-            c = next(
-                i
-                for i, edge in enumerate(cumulative)
-                if x < edge or i == len(cumulative) - 1
-            )
-            colors.append(c + 1)
-        f = tuple(colors)
-        if f not in seen:  # duplicates add nothing downstream
-            seen.add(f)
-            family.append(f)
-    return family
+    cumulative = list(accumulate(probs))
+    cumulative[-1] = 1.0  # then choices() bisects rng.random() itself
+    colors = range(1, len(sizes) + 1)
+    draws = (
+        tuple(rng.choices(colors, cum_weights=cumulative, k=universe_size))
+        for _ in range(count)
+    )
+    return list(dict.fromkeys(draws))  # duplicates add nothing downstream
 
 
 def color_family(
@@ -219,16 +206,21 @@ def color_family(
 def witness_cover(
     ctx: WitnessContext, rng
 ) -> Tuple[FrozenSet[int], CutCollection]:
-    """(q_set, best): q_set covers (with high probability) every carvable
-    terminal; best is a pairwise-disjoint collection of lean witnesses whose
-    sets (L\\R)∩T lie inside q_set, maximizing the number of terminals cut
-    off.
+    """(q_set, best): q_set is the terminals in L\\R of the witnesses
+    found; best is a pairwise-disjoint collection of lean witnesses whose
+    sets (L\\R)∩T lie inside q_set: the collection that cuts off the most
+    terminals, plus every other witness found that stays disjoint from it.
 
     Per color function f from a random family, terminals colored 1 become
     infinite-capacity, a super sink is added per torso component of the
     color-1 terminals, and a super source attached to X; a single-source
     mincut cover then yields candidate cuts, which are stripped of super
     vertices and filtered down to genuine witnesses.
+
+    The error is one-sided: a carvable terminal is missed when no color
+    function hits its witness. The capped family hits it with probability
+    1 - (1 - p_succ)^count (see color_family_general), and a miss only
+    loses coverage.
     """
     g = ctx.g
     k_prime = ctx.k_prime
@@ -240,9 +232,8 @@ def witness_cover(
     family = color_family(len(ids), k_prime + 1, k_prime, a3, g.n, rng)
 
     g_vertices = frozenset(range(g.n))
-    kept: List[Tuple[int, int, CutCollection]] = []
-    q_set: set = set()
-    for f_index, f in enumerate(family):
+    kept: List[CutCollection] = []
+    for f in family:
         color1 = [local for local in range(len(ids)) if f[local] == 1]
         if not color1:
             continue
@@ -269,32 +260,25 @@ def witness_cover(
         cover, _captured = single_source_mincut_cover(
             with_new_vertices(g, attach, caps), s_id, sink_ids, k_prime, rng
         )
-        for c_index, coll in enumerate(cover.collections):
-            mapped = []
-            for cut in coll:
-                proj = VertexCut(cut.L & g_vertices, cut.R & g_vertices)
-                if proj.is_valid(g) and is_witness(ctx, proj):
-                    mapped.append(proj)
+        for coll in cover.collections:
+            projs = (VertexCut(c.L & g_vertices, c.R & g_vertices) for c in coll)
+            mapped = [c for c in projs if c.is_valid(g) and is_witness(ctx, c)]
             if mapped:
-                kept.append((f_index, c_index, mapped))
-                for cut in mapped:
-                    q_set |= cut.left_only & ctx.t_set
+                kept.append(mapped)
+    q_set = {t for coll in kept for cut in coll for t in cut.left_only & ctx.t_set}
 
-    best_raw: CutCollection = []
-    best_score = 0
-    best_key = None
-    for f_index, c_index, coll in kept:
-        score = sum(len(cut.left_only & ctx.t_set) for cut in coll)
-        if score > best_score:
-            best_score = score
-            best_raw = coll
-            best_key = (f_index, c_index)
+    # every witness cuts off a terminal: max() keeps the first best collection
+    best_raw = max(
+        kept,
+        key=lambda coll: sum(len(cut.left_only & ctx.t_set) for cut in coll),
+        default=[],
+    )
     # greedily absorb cuts from the other collections while the merged
     # family stays pairwise disjoint; every member is still a witness, so
     # carving along the merged family removes more terminals per round
     merged = list(best_raw)
-    for key_f, key_c, coll in kept:
-        if (key_f, key_c) == best_key:
+    for coll in kept:
+        if coll is best_raw:
             continue
         for cut in coll:
             if all(

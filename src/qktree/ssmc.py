@@ -75,10 +75,8 @@ def _cuts_by_size(
     # A is the least one, so A lies in C and misses L_b.
     assert pairwise_disjoint(iso.values())
     by_size: dict = {}
-    for t in sampled:
-        if t in iso:
-            cut = iso[t]
-            by_size.setdefault(cut.size, []).append(cut)
+    for cut in iso.values():  # in the order of `sampled`
+        by_size.setdefault(cut.size, []).append(cut)
     return by_size
 
 
@@ -93,8 +91,9 @@ def single_source_mincut_cover(
 
     Returns (cover, captured) where captured collects every sink t with
     lambda(t, s) <= k (with high probability over the seeded rng). Every
-    stored cut is a t-s mincut for some captured sink t with t in L\\R, and
-    each collection consists of pairwise disjoint cuts.
+    stored cut is a t-s mincut for some captured sink t with t in L\\R; each
+    collection holds pairwise disjoint cuts and appears once. A level k'
+    below the size of every remaining sink's cuts draws no random number.
     """
     g = cg.base
     sink_set = frozenset(sinks)
@@ -123,6 +122,7 @@ def single_source_mincut_cover(
     # the isolating cuts are deterministic in the sampled set, and small
     # sampled sets recur constantly across repetitions; memoize per call
     iso_cache: dict = {}
+    seen: set = set()  # collections in the cover; a repeat adds nothing
 
     # a cut of size k' <= k isolating a sink certifies lambda(t, s) <= k, so
     # sinks above that connectivity can never be captured; drop them from
@@ -153,23 +153,19 @@ def single_source_mincut_cover(
     if zero:
         cover.collections.append([zero[v] for v in sorted(zero)])
 
-    rand = rng.random
     for k_prime in range(1, k + 1):
-        for rep in range(mid_reps):
+        for _ in range(mid_reps):
             pool = [t for t in light if t not in gamma]  # fixed within a round
             if not pool:
                 break  # gamma only grows: no later round draws or keeps anything
             if k_prime < min(least[t] for t in pool):
                 # no sampled set yields a cut of size k_prime, so this round
-                # and the rest of the level keep nothing and leave the pool
-                # as it is; only their draws remain to be made
-                for _ in range((mid_reps - rep) * scales * len(pool)):
-                    rand()
+                # and the rest of the level keep nothing and draw nothing
                 break
             round_cuts: List[VertexCut] = []
             for i in range(scales):
                 r = 1 << i
-                sampled = [t for t in pool if rand() * r < 1.0]
+                sampled = [t for t in pool if rng.random() * r < 1.0]
                 if not sampled:
                     continue
                 key = tuple(sampled)  # ascending, like the pool
@@ -179,7 +175,8 @@ def single_source_mincut_cover(
                         cg, s, sampled, k, light_cut
                     )
                 coll = by_size.get(k_prime)
-                if coll:
+                if coll and frozenset(coll) not in seen:
+                    seen.add(frozenset(coll))
                     cover.collections.append(list(coll))
                     round_cuts.extend(coll)
             for cut in round_cuts:

@@ -276,9 +276,17 @@ def brute_pway_cut(g: Graph, p: int, k: int):
     edges = g.edges()
     for cost in range(0, min(k, g.m) + 1):
         for subset in combinations(range(len(edges)), cost):
-            chosen = set(subset)
-            remaining = [e for j, e in enumerate(edges) if j not in chosen]
-            h = Graph(g.n, remaining)
-            if len(connected_components(h)) >= p:
+            parent = list(range(g.n))  # union-find over the kept edges
+            count = g.n
+            for j, (u, v) in enumerate(edges):
+                if j not in subset:
+                    while parent[u] != u:
+                        parent[u] = u = parent[parent[u]]
+                    while parent[v] != v:
+                        parent[v] = v = parent[parent[v]]
+                    if u != v:
+                        parent[u] = v
+                        count -= 1
+            if count >= p:
                 return cost
     return INFEASIBLE

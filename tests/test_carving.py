@@ -1,8 +1,10 @@
+import math
 import random
 from itertools import combinations, product
 
 import pytest
 
+from qktree import config
 from qktree.carving import (
     WitnessContext,
     carvable_oracle,
@@ -269,6 +271,57 @@ def test_color_family_general_hits_small_tuples():
             if a1 == a2:
                 continue
             assert any(f[a1] == 1 and f[a2] == 2 for f in fam), (a1, a2)
+
+
+def scan_color_family(universe_size, sizes, n_ambient, rng, trim):
+    """The family drawn by a per-vertex scan of the cumulative table."""
+    if trim == "pack":
+        room, trimmed = universe_size, []
+        for a in sizes:
+            trimmed.append(min(a, room))
+            room -= trimmed[-1]
+    else:
+        trimmed = [min(a, universe_size) for a in sizes]
+    total = sum(trimmed)
+    if total == 0:
+        return [tuple(len(trimmed) for _ in range(universe_size))]
+    probs = [a / total for a in trimmed]
+    p_succ = math.prod(p ** a for p, a in zip(probs, trimmed) if a > 0)
+    count = max(1, math.ceil(config.C_FAM * math.log(max(n_ambient, 2)) / p_succ))
+    count = min(count, config.FAMILY_SIZE_LIMIT)
+    cumulative, acc = [], 0.0
+    for p in probs:
+        acc += p
+        cumulative.append(acc)
+    family = []
+    for _ in range(count):
+        f = []
+        for _ in range(universe_size):
+            x = rng.random()
+            f.append(1 + next(
+                i for i, edge in enumerate(cumulative)
+                if x < edge or i == len(cumulative) - 1
+            ))
+        if tuple(f) not in family:
+            family.append(tuple(f))
+    return family
+
+
+@pytest.mark.parametrize("trim", ["pack", "each"])
+def test_color_family_matches_a_cumulative_scan(trim):
+    sizes_list = [
+        (2, 1, 16), (0, 3, 2), (3, 0, 0), (0, 0, 4), (1, 0, 2, 0, 3),
+        (4, 4), (1,), (5, 2, 54), (0, 0), (2, 2, 2, 2),
+    ]
+    for seed in range(40):
+        for sizes in sizes_list:
+            universe = seed % 9
+            ours, ref = random.Random(seed), random.Random(seed)
+            fam = color_family_general(universe, sizes, 30, ours, trim=trim)
+            assert fam == scan_color_family(universe, sizes, 30, ref, trim), (
+                seed, sizes,
+            )
+            assert ours.getstate() == ref.getstate()
 
 
 def test_witness_cover_x_equals_t():

@@ -1,9 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from qktree import config
-from qktree.core import Graph, SizeGuardError, induced_subgraph
+from qktree.core import (
+    Graph,
+    SizeGuardError,
+    connected_components,
+    induced_subgraph,
+)
 from qktree.decomp import VARIANT_STANDARD, decompose, variant_parameters
 from qktree.pwaycut import PwayCutSolver, min_pway_cut
 from qktree.verify import brute_pway_cut
@@ -116,6 +122,39 @@ def test_brute_force_refuses_too_many_edge_subsets():
     # the criterion 3 corpus (m <= 20, k <= 4) stay under the limit
     assert brute_pway_cut(path_graph(27), 27, 4) == BRUTE_INFEASIBLE
     assert brute_pway_cut(path_graph(21), 21, 4) == BRUTE_INFEASIBLE
+
+
+def most_components_per_cost(g, k, p_max):
+    """most[c]: the most components left by deleting c <= k edges, built
+    as one Graph per edge subset; a count stops growing at p_max, and the
+    list ends at the first cost that reaches it."""
+    edges = g.edges()
+    most = []
+    for cost in range(min(k, g.m) + 1):
+        most.append(0)
+        for subset in combinations(range(g.m), cost):
+            kept = [e for j, e in enumerate(edges) if j not in subset]
+            comps = len(connected_components(Graph(g.n, kept)))
+            most[-1] = max(most[-1], min(comps, p_max))
+            if most[-1] == p_max:
+                return most
+    return most
+
+
+def test_brute_pway_cut_matches_a_graph_per_subset():
+    from test_acceptance import pway_corpus
+
+    graphs = [g for _seed, g in pway_corpus()]
+    rng = random.Random(11)
+    for seed in range(60):
+        graphs.append(gnp(rng.randint(0, 9), rng.uniform(0.1, 0.7), seed))
+    for g in graphs:
+        most = most_components_per_cost(g, 4, 4)
+        for p in (2, 3, 4):
+            for k in range(5):
+                costs = [c for c, m in enumerate(most[:k + 1]) if m >= p]
+                want = costs[0] if costs else BRUTE_INFEASIBLE
+                assert brute_pway_cut(g, p, k) == want, (g.edges(), p, k)
 
 
 def brute_vector(g, deco, t, f, p, k):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -141,3 +142,48 @@ def test_negative_k_is_refused():
         single_source_mincut_cover(
             caps_with_inf(g, {0, 2, 3}), 0, {2, 3}, -1, random.Random(0)
         )
+
+
+def test_cover_collections_are_distinct():
+    # sampled sets that give the same cuts add their collection only once
+    from test_acceptance import ssmc_corpus
+
+    for seed, g, s, sinks, k in ssmc_corpus():
+        cg = caps_with_inf(g, {s} | set(sinks))
+        cover, _captured = single_source_mincut_cover(
+            cg, s, sinks, k, random.Random(seed)
+        )
+        keys = [frozenset(coll) for coll in cover.collections]
+        assert len(keys) == len(set(keys)), seed
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_skipped_levels_draw_nothing(k):
+    # each of three sinks reaches the source over k disjoint paths of
+    # length 2, so lambda(t, s) = k for every sink and the levels below k
+    # can keep no cut; the first round of level k captures every sink
+    edges = []
+    sinks = []
+    for i in range(3):
+        t = 1 + i * (k + 1)
+        sinks.append(t)
+        for mid in range(t + 1, t + 1 + k):
+            edges += [(0, mid), (mid, t)]
+    g = Graph(1 + 3 * (k + 1), edges)
+    cg = caps_with_inf(g, {0} | set(sinks))
+    rng = CountingRandom(5)
+    cover, captured = single_source_mincut_cover(cg, 0, sinks, k, rng)
+    assert captured == set(sinks)
+    assert all(cut.size == k for cut in cover.all_cuts())
+    scales = int(math.log2(g.n)) + 1
+    assert rng.draws == scales * len(sinks)
