@@ -19,8 +19,9 @@ _DEBUG_CHECK_LIMIT = 10
 def reduce_adhesion(
     g: Graph, x0: Iterable[int], k: int, q: int, epsilon, rng
 ) -> FrozenSet[int]:
-    """Grow a (q,k)-unbreakable set x0 into X ⊇ x0 that (with high
-    probability) is (q + k⌈1/ε⌉, k)-unbreakable with adhesion ≤ q + k⌈1/ε⌉.
+    """Grow a (q,k)-unbreakable set x0 into X ⊇ x0 that is (q + k⌈1/ε⌉,
+    k)-unbreakable with adhesion ≤ q + k⌈1/ε⌉, up to the one-sided error of
+    the witness covers' capped color family (see color_family_general).
 
     Level ℓ works at separator budget k' = q + ℓk: terminals T are carved
     along disjoint lean witnesses while the covered set Q stays above
@@ -65,8 +66,8 @@ def reduce_adhesion(
 
 
 def unbreakable_balanced_set(g: Graph, k: int, epsilon, rng) -> FrozenSet[int]:
-    """A set that is (⌈1/ε⌉k + k, k)-unbreakable, ½-balanced, and has
-    adhesion ≤ ⌈1/ε⌉k + k, with high probability.
+    """A ½-balanced set that is (⌈1/ε⌉k + k, k)-unbreakable with adhesion
+    ≤ ⌈1/ε⌉k + k, up to reduce_adhesion's one-sided error.
 
     Retries the random seed set until the balance event fires; raises
     RetriesExhaustedError after C_RETRY·⌈log₂ n⌉ failures.

@@ -17,7 +17,7 @@ from .core import (
     neighborhood,
     torso,
 )
-from .flow import INF, bounded_vertex_maxflow, unit_capacities, with_new_vertices
+from .flow import EXCEEDS_BOUND, INF, bounded_vertex_maxflow, unit_capacities, with_new_vertices
 from .isolating import ordered_disjoint
 from .ssmc import CutCollection, single_source_mincut_cover
 
@@ -203,6 +203,14 @@ def color_family(
     return color_family_general(universe_size, (a1, a2, a3), n_ambient, rng)
 
 
+def _within_cut_bound(cg, t: int, ctx: WitnessContext) -> bool:
+    """Whether at most k' vertices of cg = ctx.g, X ones allowed, cut t off from X."""
+    if len(ctx.x_set) <= ctx.k_prime or len(cg.base.adj[t]) <= ctx.k_prime:
+        return True  # X, or N(t), is such a cut
+    flow = bounded_vertex_maxflow(cg, (t,), ctx.x_set, ctx.k_prime, cut_sinks=True)
+    return flow.value != EXCEEDS_BOUND
+
+
 def witness_cover(
     ctx: WitnessContext, rng
 ) -> Tuple[FrozenSet[int], CutCollection]:
@@ -221,6 +229,13 @@ def witness_cover(
     function hits its witness. The capped family hits it with probability
     1 - (1 - p_succ)^count (see color_family_general), and a miss only
     loses coverage.
+
+    The loop stops once q_set holds U, the terminals t ∉ X that at most k'
+    vertices, X ones allowed, cut off from X. A witness has t in L\\R and
+    X ⊆ R, so its L∩R is such a cut: q_set ⊆ U always, and q_set is what
+    the whole family gives, while best comes from the collections found
+    before the stop. Each t is tested at most once, lazily, and for free
+    when deg(t) <= k' or |X| <= k'. With X empty every color function runs.
     """
     g = ctx.g
     k_prime = ctx.k_prime
@@ -233,7 +248,16 @@ def witness_cover(
 
     g_vertices = frozenset(range(g.n))
     kept: List[CutCollection] = []
+    q_set: set = set()
+    untested = iter(sorted(ctx.t_set - ctx.x_set))
+    pending = None  # a terminal of U not yet in q_set
+    cg = unit_capacities(g)
     for f in family:
+        if ctx.x_set and (pending is None or pending in q_set):
+            pending = next((t for t in untested if t not in q_set
+                            and _within_cut_bound(cg, t, ctx)), None)
+            if pending is None:
+                break
         color1 = [local for local in range(len(ids)) if f[local] == 1]
         if not color1:
             continue
@@ -265,7 +289,7 @@ def witness_cover(
             mapped = [c for c in projs if c.is_valid(g) and is_witness(ctx, c)]
             if mapped:
                 kept.append(mapped)
-    q_set = {t for coll in kept for cut in coll for t in cut.left_only & ctx.t_set}
+                q_set.update(t for cut in mapped for t in cut.left_only & ctx.t_set)
 
     # every witness cuts off a terminal: max() keeps the first best collection
     best_raw = max(

@@ -4,6 +4,7 @@ import pytest
 
 from qktree.adhesion import reduce_adhesion, unbreakable_balanced_set
 from qktree.core import Graph, adhesion, connected_components, is_balanced
+from qktree.decomp import VARIANT_DEPTH_REDUCED, VARIANT_STANDARD, decompose
 from qktree.origin import UNBREAKABLE, check_unbreakable
 
 from conftest import complete_graph, connected_gnp, path_graph
@@ -78,3 +79,14 @@ def test_reduce_adhesion_deterministic():
     a = reduce_adhesion(g, {0}, 1, 1, 1, random.Random(3))
     b = reduce_adhesion(g, {0}, 1, 1, 1, random.Random(3))
     assert a == b
+
+
+def test_small_decompositions_pass_the_debug_checks():
+    """At n <= 10, reduce_adhesion asserts that every X it returns is
+    unbreakable; seeded decompositions never trip it."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = connected_gnp(rng.randint(4, 10), rng.uniform(0.2, 0.7), seed)
+        k = rng.randint(1, 3)
+        for variant in (VARIANT_STANDARD, VARIANT_DEPTH_REDUCED):
+            decompose(g, k, 1, variant, seed=seed)

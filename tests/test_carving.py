@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from qktree import config
+from qktree import carving, config
 from qktree.carving import (
     WitnessContext,
     carvable_oracle,
@@ -16,8 +16,23 @@ from qktree.carving import (
     make_lean,
     witness_cover,
 )
-from qktree.core import Graph, SizeGuardError, VertexCut, adhesion
+from qktree.core import (
+    Graph,
+    SizeGuardError,
+    VertexCut,
+    adhesion,
+    connected_components,
+    neighborhood,
+)
+from qktree.flow import (
+    EXCEEDS_BOUND,
+    INF,
+    bounded_vertex_maxflow,
+    unit_capacities,
+    with_new_vertices,
+)
 from qktree.origin import UNBREAKABLE, balanced_origin, check_unbreakable
+from qktree.ssmc import single_source_mincut_cover
 
 from conftest import connected_gnp, gnp, path_graph, star_graph
 
@@ -390,3 +405,78 @@ def test_witness_cover_deterministic():
     a = witness_cover(ctx, random.Random(9))
     b = witness_cover(ctx, random.Random(9))
     assert a == b
+
+
+def test_witness_cover_q_set_within_the_flow_bound():
+    """Every covered terminal has a t–X flow of at most k', X cuttable: the
+    premise of the cover's stop."""
+    for seed in range(40):
+        g, x = witness_cover_instance(seed)
+        cg = unit_capacities(g)
+        for k_prime in (1, 2, 3):
+            ctx = WitnessContext(g, range(g.n), x, k_prime)
+            q_set, _ = witness_cover(ctx, random.Random(seed + k_prime))
+            for t in q_set:
+                flow = bounded_vertex_maxflow(cg, {t}, x, k_prime, cut_sinks=True)
+                assert flow.value != EXCEEDS_BOUND, (seed, k_prime, t)
+
+
+def whole_family_q_set(ctx, rng):
+    """q_set of a witness cover that runs every color function of its
+    family, with no stop."""
+    g, k_prime = ctx.g, ctx.k_prime
+    h, ids = ctx.torso_graph()
+    pos = {v: i for i, v in enumerate(ids)}
+    family = color_family(len(ids), k_prime + 1, k_prime, 2 * k_prime ** 3, g.n, rng)
+    q_set = set()
+    for f in family:
+        color1 = [local for local in range(len(ids)) if f[local] == 1]
+        if not color1:
+            continue
+        comps = connected_components(h, set(range(len(ids))) - set(color1))
+        attach = [
+            [ids[u] for u in comp]
+            + [ids[u] for u in neighborhood(h, comp) if f[u] == 2]
+            for comp in comps
+        ] + [ctx.x_set]
+        caps = tuple(
+            INF
+            if v in ctx.t_set and v not in ctx.x_set and f[pos[v]] == 1
+            else 1
+            for v in range(g.n)
+        ) + (INF,) * len(attach)
+        sinks = list(range(g.n, g.n + len(comps)))
+        cover, _ = single_source_mincut_cover(
+            with_new_vertices(g, attach, caps), g.n + len(comps), sinks, k_prime, rng
+        )
+        for coll in cover.collections:
+            for c in coll:
+                cut = VertexCut(c.L & frozenset(range(g.n)), c.R & frozenset(range(g.n)))
+                if cut.is_valid(g) and is_witness(ctx, cut):
+                    q_set |= cut.left_only & ctx.t_set
+    return frozenset(q_set)
+
+
+def test_witness_cover_matches_the_whole_family():
+    for seed in range(40):
+        g, x = witness_cover_instance(seed)
+        for k_prime in (1, 2, 3):
+            ctx = WitnessContext(g, range(g.n), x, k_prime)
+            q_set, _ = witness_cover(ctx, random.Random(seed))
+            assert q_set == whole_family_q_set(ctx, random.Random(seed)), (seed, k_prime)
+
+
+def test_witness_cover_stops_when_no_terminal_can_be_cut_off(monkeypatch):
+    """On K_8 with |X| = 4 and k' = 2, every terminal outside X has 4
+    disjoint paths to X, so no terminal can be covered."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return single_source_mincut_cover(*args, **kwargs)
+
+    monkeypatch.setattr(carving, "single_source_mincut_cover", counting)
+    g = Graph(8, combinations(range(8), 2))
+    ctx = WitnessContext(g, range(8), range(4), 2)
+    assert witness_cover(ctx, random.Random(0)) == (frozenset(), [])
+    assert len(calls) <= 1
