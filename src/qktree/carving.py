@@ -149,36 +149,20 @@ def make_lean(ctx: WitnessContext, cuts: CutCollection) -> CutCollection:
 
 
 def color_family_general(
-    universe_size: int, sizes: Sequence[int], n_ambient: int, rng,
-    trim: str = "pack",
+    universe_size: int, sizes: Sequence[int], n_ambient: int, rng
 ) -> List[ColorFunction]:
     """Seeded random family of colorings f: [universe_size] -> 1..len(sizes).
 
     Colors are drawn per vertex, with probabilities p_i proportional to the
-    trimmed target sizes, so one f hits a fixed tuple of disjoint sets with
-    |A_i| <= sizes[i] (A_i entirely colored i) with probability at least
-    p_succ = prod p_i^sizes[i]. The family draws count = min(ceil(C_FAM
-    ln(n_ambient) / p_succ), FAMILY_SIZE_LIMIT) colorings and drops
-    repeats, so it misses the tuple with probability at most
-    (1 - p_succ)^count: n_ambient^(-C_FAM) below the cap, but near 1 when
-    the cap binds and p_succ is small (see config.FAMILY_SIZE_LIMIT).
-
-    trim="pack" shrinks class budgets by the room the earlier classes leave
-    (disjoint sets cannot exceed the universe jointly); trim="each" only
-    caps each class at the universe, keeping every class's probability
-    positive for callers that need all colors available.
+    target sizes, each capped at the universe, so one f hits a fixed tuple
+    of disjoint sets with |A_i| <= sizes[i] (A_i entirely colored i) with
+    probability at least p_succ = prod p_i^sizes[i]. The family draws
+    count = min(ceil(C_FAM ln(n_ambient) / p_succ), FAMILY_SIZE_LIMIT)
+    colorings and drops repeats, so it misses the tuple with probability at
+    most (1 - p_succ)^count: n_ambient^(-C_FAM) below the cap, but near 1
+    when the cap binds and p_succ is small (see config.FAMILY_SIZE_LIMIT).
     """
-    # class budgets beyond the universe size can never be realized by
-    # disjoint sets; trim them before optimizing the color probabilities
-    if trim == "pack":
-        sizes = [
-            min(a, max(0, universe_size - before))
-            for a, before in zip(sizes, accumulate(sizes, initial=0))
-        ]
-    elif trim == "each":
-        sizes = [min(a, universe_size) for a in sizes]
-    else:
-        raise ValueError(f"unknown trim mode {trim!r}")
+    sizes = [min(a, universe_size) for a in sizes]
     total = sum(sizes)
     if total == 0:
         return [tuple(len(sizes) for _ in range(universe_size))]
@@ -199,8 +183,15 @@ def color_family_general(
 def color_family(
     universe_size: int, a1: int, a2: int, a3: int, n_ambient: int, rng
 ) -> List[ColorFunction]:
-    """Three-color random family hitting disjoint triples of sizes a1,a2,a3."""
-    return color_family_general(universe_size, (a1, a2, a3), n_ambient, rng)
+    """Three-color random family hitting disjoint triples of sizes at most
+    a1, a2, a3. Disjoint sets cannot exceed the universe jointly, so each
+    budget first shrinks to the room the earlier ones leave."""
+    sizes = (a1, a2, a3)
+    packed = [
+        min(a, max(0, universe_size - before))
+        for a, before in zip(sizes, accumulate(sizes, initial=0))
+    ]
+    return color_family_general(universe_size, packed, n_ambient, rng)
 
 
 def _within_cut_bound(cg, t: int, ctx: WitnessContext) -> bool:

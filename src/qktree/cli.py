@@ -87,6 +87,8 @@ def generate_graph(model: str, n: int, seed: int, prob: float = 0.1) -> Graph:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
     if model == "gnp":
+        if not 0 <= prob <= 1:
+            raise ValueError("prob must be in [0, 1]")
         edges = [
             (u, v)
             for u in range(n)
@@ -234,6 +236,8 @@ def cmd_bench(args) -> int:
     if not sizes:
         raise ValueError("empty size list")
     k, eps = args.k, args.epsilon
+    if k < 1:
+        raise ValueError("k must be at least 1")
     sigma = math.ceil(1 / eps) * k + k
     lines = ["size,stage,millis"]
     for n in sizes:

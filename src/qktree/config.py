@@ -2,8 +2,9 @@
 
 # Largest set w accepted by the partition strategy of the unbreakability
 # check (one bounded flow per 2-partition of w minus a forced subset). A
-# set this small is always checked, by the cheaper of partitions and the
-# separator sweep, whatever the sweep's limit below.
+# set this small is always checked, whatever the sweep's limit below: by
+# the cheaper of partitions and the separator sweep while decompositions
+# are built, and by the sweep in the verifier.
 UNBREAKABLE_ENUM_LIMIT = 24
 
 # Largest number of DFS passes that the separator sweep of the
@@ -26,12 +27,6 @@ CARVABLE_ENUM_LIMIT = 10
 # brute-force p-way cut oracle enumerates: 46-60 µs each on a 2-core host,
 # so a few seconds at the limit.
 BRUTE_PWAY_SUBSET_LIMIT = 100_000
-
-# Middle-loop repetition constant in the single-source mincut cover
-# (the loop runs C_MID * ceil(log2 n)^2 times). Tuned down empirically:
-# the captured set matches the oracle on every tested instance already at
-# 1, and higher values multiply the runtime of the whole pipeline.
-C_MID = 1
 
 # Exponent constant for color-coding family sizes: below the cap that
 # follows, the family hits a fixed tuple with probability >= 1 - n^(-C_FAM).

@@ -45,9 +45,7 @@ class Graph:
     def adj_masks(self) -> Tuple[int, ...]:
         """Adjacency as bitmasks (bit u set in entry v iff edge uv); cached."""
         if self._masks is None:
-            self._masks = tuple(
-                sum(1 << u for u in nbrs) for nbrs in self.adj
-            )
+            self._masks = tuple([set_to_mask(nbrs) for nbrs in self.adj])
         return self._masks
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -169,33 +167,9 @@ def neighborhood(g: Graph, s: Iterable[int]) -> FrozenSet[int]:
     return frozenset(out - sset)
 
 
-def connected_components(
-    g: Graph, removed: Iterable[int] = ()
-) -> List[FrozenSet[int]]:
-    """Components of g minus `removed`, ordered by smallest member."""
-    removed_set = set(removed)
-    seen = [False] * g.n
-    comps: List[FrozenSet[int]] = []
-    for start in range(g.n):
-        if seen[start] or start in removed_set:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.adj[v]:
-                if not seen[u] and u not in removed_set:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def components_masks(g: Graph, removed_mask: int) -> List[int]:
     """Components of g minus the masked vertices, as bitmasks, ordered by
-    smallest member. Much faster than connected_components on hot paths."""
+    smallest member."""
     adjm = g.adj_masks()
     alive = ((1 << g.n) - 1) & ~removed_mask
     comps = []
@@ -217,6 +191,13 @@ def components_masks(g: Graph, removed_mask: int) -> List[int]:
     return comps
 
 
+def connected_components(
+    g: Graph, removed: Iterable[int] = ()
+) -> List[FrozenSet[int]]:
+    """Components of g minus `removed`, ordered by smallest member."""
+    return [mask_to_set(c) for c in components_masks(g, set_to_mask(removed))]
+
+
 def mask_to_set(mask: int) -> FrozenSet[int]:
     out = []
     while mask:
@@ -236,12 +217,9 @@ def set_to_mask(vs: Iterable[int]) -> int:
 def is_connected(g: Graph, within: Optional[Iterable[int]] = None) -> bool:
     """True iff g (or g induced on `within`) is connected; empty counts as connected."""
     if within is None:
-        return len(connected_components(g)) <= 1
-    wset = set(within)
-    if not wset:
-        return True
-    removed = set(range(g.n)) - wset
-    return len(connected_components(g, removed)) == 1
+        return len(components_masks(g, 0)) <= 1
+    wmask = set_to_mask(within)
+    return not wmask or len(components_masks(g, ((1 << g.n) - 1) & ~wmask)) == 1
 
 
 def adhesion(g: Graph, x: Iterable[int]) -> int:
@@ -255,9 +233,10 @@ def adhesion(g: Graph, x: Iterable[int]) -> int:
 
 def is_balanced(g: Graph, x: Iterable[int], alpha) -> bool:
     """True iff every component of g minus x has at most alpha*n vertices."""
-    xs = set(x)
     limit = alpha * g.n
-    return all(len(c) <= limit for c in connected_components(g, xs))
+    return all(
+        bin(c).count("1") <= limit for c in components_masks(g, set_to_mask(x))
+    )
 
 
 def induced_subgraph(

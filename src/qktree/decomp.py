@@ -152,6 +152,11 @@ def _separator_set(
     return x
 
 
+def _check_variant(variant) -> None:
+    if variant not in (VARIANT_STANDARD, VARIANT_DEPTH_REDUCED):
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def decompose(
     g: Graph,
     k: int,
@@ -174,8 +179,7 @@ def decompose(
         raise ValueError("k must be at least 1")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
-    if variant not in (VARIANT_STANDARD, VARIANT_DEPTH_REDUCED):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     if rng is None:
         rng = random.Random(seed)
     params = variant_parameters(k, epsilon)[variant]
@@ -261,7 +265,8 @@ def decomposition_to_json(
 
 def decomposition_from_json(text: str) -> Tuple[RootedTreeDecomposition, str, Optional[int]]:
     """Inverse of `decomposition_to_json`; raises ValueError on a missing
-    key, a bad node id or parent, or a bag vertex outside 0..n-1."""
+    key, a bad node id or parent, a bag vertex outside 0..n-1, or an
+    unknown variant."""
     payload = json.loads(text)
     try:
         deco = RootedTreeDecomposition(int(payload["n"]))
@@ -281,4 +286,6 @@ def decomposition_from_json(text: str) -> Tuple[RootedTreeDecomposition, str, Op
         raise ValueError(f"decomposition JSON lacks the key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed decomposition JSON: {exc}") from None
-    return deco, payload.get("variant", VARIANT_STANDARD), payload.get("seed")
+    variant = payload.get("variant", VARIANT_STANDARD)
+    _check_variant(variant)
+    return deco, variant, payload.get("seed")

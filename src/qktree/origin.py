@@ -186,7 +186,8 @@ def _sweep_passes(n: int, k: int) -> int:
 def _sweep_allowed(g: Graph, wlen: int, k: int) -> bool:
     """The sweep's guard: at most config.SEPARATOR_SWEEP_LIMIT DFS passes,
     or a set w within the partition strategy's limit, which is always
-    checked, by the cheaper of the two strategies."""
+    checked: by the cheaper of partitions and the sweep in
+    check_unbreakable, by the sweep in the verifier."""
     return (
         wlen <= config.UNBREAKABLE_ENUM_LIMIT
         or _sweep_passes(g.n, k) <= config.SEPARATOR_SWEEP_LIMIT
@@ -434,19 +435,6 @@ def _check_by_core(g: Graph, w: Iterable[int], q: int, k: int):
     return UNBREAKABLE
 
 
-def check_exhaustively(g: Graph, w: Iterable[int], q: int, k: int):
-    """check_unbreakable without the core strategy: partitions when they
-    are cheaper, else the separator sweep, which raises SizeGuardError
-    when its guard refuses. The verifier's check, independent of the
-    bounded-flow search that builds decompositions."""
-    wset = sorted(set(w))
-    if _too_few(len(wset), q, k):
-        return UNBREAKABLE
-    if _partitions_cheaper(g, len(wset), q, k):
-        return _check_by_partitions(g, wset, q, k)
-    return check_by_separators(g, wset, q, k)
-
-
 def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     """Certify that w is (q,k)-unbreakable in g, or return a breakable
     witness: a cut (L,R) with |L∩R| <= k, |L∩w| > q, and |R∩w| > q.
@@ -463,12 +451,12 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     - the core strategy (q >= k, more than q vertices of w of degree
       > k): bounded flows and important separators, below.
 
-    Partitions run when their flows number under an eighth of the sweep's
-    candidates. Otherwise the core strategy runs when its estimate,
-    (k+1)(C(|w|,2) + |w|) searches, is under the sweep's DFS passes or
-    the sweep's guard refuses, and else the sweep; the sweep also answers
-    where the core strategy does not apply.
-    check_exhaustively is the same choice without the core strategy.
+    A set w too small for any witness is unbreakable at once. Otherwise
+    partitions run when their flows number under an eighth of the sweep's
+    candidates, the core strategy when its estimate, (k+1)(C(|w|,2) + |w|)
+    searches, is under the sweep's DFS passes or the sweep's guard
+    refuses, and else the sweep; the sweep also answers where the core
+    strategy does not apply. The verifier runs the sweep alone.
 
     The core strategy picks, greedily by degree, a core C of w-vertices of
     degree > k: k + 1 hubs that are pairwise linked (adjacent, or not
@@ -500,10 +488,12 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
+    if _too_few(len(wset), q, k):
+        return UNBREAKABLE
+    if _partitions_cheaper(g, len(wset), q, k):
+        return _check_by_partitions(g, wset, q, k)
     if (
         q >= k
-        and not _too_few(len(wset), q, k)
-        and not _partitions_cheaper(g, len(wset), q, k)
         and sum(len(g.adj[v]) > k for v in wset) > q
         and (
             (k + 1) * (math.comb(len(wset), 2) + len(wset))
@@ -514,7 +504,7 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
         verdict = _check_by_core(g, wset, q, k)
         if verdict is not None:
             return verdict
-    return check_exhaustively(g, wset, q, k)
+    return check_by_separators(g, wset, q, k)
 
 
 def net_size(sigma: int, alpha: float) -> int:

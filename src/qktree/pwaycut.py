@@ -3,9 +3,9 @@ decomposition, with a component-flip DP and color coding for large bags."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,7 +21,7 @@ from .decomp import (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PwayResult:
     """Decision and valuation for one Minimum p-Way Cut query."""
 
@@ -32,13 +32,7 @@ class PwayResult:
     seed: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "feasible": self.feasible,
-            "cost": self.cost,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 def _submasks(m: int) -> List[int]:
@@ -118,7 +112,6 @@ class PwayCutSolver:
         rng,
     ):
         self.g = g
-        self.deco = deco
         self.p = p
         self.k = k
         self.q = q
@@ -138,12 +131,8 @@ class PwayCutSolver:
         ]
         # one stored copy of each equal tuple kept in `chains`
         self.shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # f -> (canonical f, image of each mask under the relabeling)
-        self.canon: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], List[int]]] = {}
         # (components, colors of f as a mask) -> colorings up to free colors
         self.colorings: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
-        # colors of f as a mask -> the orbits of more than one mask
-        self.orbits: Dict[int, List[List[int]]] = {}
         # per node, the flip DP's auxiliary graph, built on first use
         self.aux: Dict[int, Graph] = {}
 
@@ -171,15 +160,10 @@ class PwayCutSolver:
         """f with its colors numbered by first occurrence, and the image of
         every mask under that relabeling (the colors f does not use keep
         their order after the ones it does)."""
-        hit = self.canon.get(f)
-        if hit is None:
-            relabel: Dict[int, int] = {}
-            for col in f + tuple(range(1, self.p + 1)):
-                relabel.setdefault(col, len(relabel) + 1)
-            hit = self.canon[f] = (
-                tuple(relabel[col] for col in f), self._mask_image(relabel)
-            )
-        return hit
+        relabel: Dict[int, int] = {}
+        for col in f + tuple(range(1, self.p + 1)):
+            relabel.setdefault(col, len(relabel) + 1)
+        return tuple(relabel[col] for col in f), self._mask_image(relabel)
 
     def _mask_image(self, relabel) -> List[int]:
         """The image of every mask when each color c becomes relabel[c]."""
@@ -429,14 +413,10 @@ class PwayCutSolver:
     def _orbits(self, fmask: int) -> List[List[int]]:
         """The masks grouped by their colors in fmask and their number of
         other colors, keeping only the groups of two or more."""
-        out = self.orbits.get(fmask)
-        if out is None:
-            classes: Dict[Tuple[int, int], List[int]] = {}
-            for m in range(self.full + 1):
-                key = (m & fmask, self.popcount[m & ~fmask])
-                classes.setdefault(key, []).append(m)
-            out = self.orbits[fmask] = [o for o in classes.values() if len(o) > 1]
-        return out
+        classes: Dict[Tuple[int, int], List[int]] = {}
+        for m in range(self.full + 1):
+            classes.setdefault((m & fmask, self.popcount[m & ~fmask]), []).append(m)
+        return [o for o in classes.values() if len(o) > 1]
 
     # ---- color-coding regime ---------------------------------------------
 
@@ -463,13 +443,10 @@ class PwayCutSolver:
         if universe == 0:
             return list(self._exact_vector(t, f_rel))
         # classes 1..p-1 bound the non-heavy color classes; class p bounds
-        # the heavy-colored vertices adjacent to crossing edges/adhesions
-        sizes = [min(self.q, universe)] * (p - 1) + [
-            min(self.q * self.k * self.sigma, universe)
-        ]
-        family = color_family_general(
-            universe, sizes, max(self.g.n, 2), self.rng, trim="each"
-        )
+        # the heavy-colored vertices adjacent to crossing edges/adhesions;
+        # color_family_general caps each at the bag's size
+        sizes = [self.q] * (p - 1) + [self.q * self.k * self.sigma]
+        family = color_family_general(universe, sizes, max(self.g.n, 2), self.rng)
         vec = [inf] * (self.full + 1)
         pbit = 1 << (p - 1)
         for base in family:

@@ -12,12 +12,14 @@ from .core import (
     Graph,
     SizeGuardError,
     VertexCut,
+    adhesion,
     connected_components,
     induced_subgraph,
+    is_balanced,
     is_connected,
     neighborhood,
 )
-from .origin import UNBREAKABLE, check_exhaustively
+from .origin import UNBREAKABLE, check_by_separators
 
 INFEASIBLE = "INFEASIBLE"
 
@@ -79,16 +81,12 @@ def brute_net_check(g: Graph, w: Iterable[int], sigma: int, alpha) -> bool:
 
 def brute_origin_check(g: Graph, x: Iterable[int], sigma: int, alpha) -> bool:
     """True iff x is an alpha-balanced sigma-origin: every superset of x
-    with adhesion <= sigma is alpha-balanced; exhaustive over supersets
-    reasoned via components (a superset X' leaves components that are
-    unions-of-subsets of components of g minus x... checked directly by
-    enumerating all supersets on tiny graphs)."""
+    with adhesion <= sigma is alpha-balanced; exhaustive over the 2^(n-|x|)
+    supersets."""
     if g.n > config.CUT_ENUM_LIMIT:
         raise SizeGuardError(
             f"n={g.n} exceeds the cut enumeration limit {config.CUT_ENUM_LIMIT}"
         )
-    from .core import adhesion, is_balanced
-
     xset = frozenset(x)
     rest = sorted(set(range(g.n)) - xset)
     for code in range(1 << len(rest)):
@@ -214,8 +212,8 @@ def validate_decomposition(
 
 @dataclass
 class UnbreakabilityReport:
-    """Per-bag subtree unbreakability outcome; bags that no exhaustive
-    strategy takes (check_exhaustively raises SizeGuardError) are skipped
+    """Per-bag subtree unbreakability outcome; bags over the separator
+    sweep's limits (check_by_separators raises SizeGuardError) are skipped
     (reported, not fatal)."""
 
     q: int
@@ -233,9 +231,9 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
     """Check every bag's (q,k)-unbreakability inside its own subtree graph
     G_t = G[gamma(t)] minus the edges within the adhesion set.
 
-    Each check is check_exhaustively, partitions or the separator sweep,
-    never the core strategy that builds decompositions, so the verifier is
-    an independent oracle for it."""
+    Each check is the separator sweep (check_by_separators), never the
+    partition or core strategies that build decompositions, so the
+    verifier is an independent oracle for them."""
     report = UnbreakabilityReport(q=q, k=k)
     for t in range(len(deco.nodes)):
         bag = deco.bag(t)
@@ -247,7 +245,7 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
         pos = {v: i for i, v in enumerate(ids)}
         local_bag = [pos[v] for v in bag]
         try:
-            verdict = check_exhaustively(sub, local_bag, q, k)
+            verdict = check_by_separators(sub, local_bag, q, k)
         except SizeGuardError:
             report.skipped.append(t)
             continue

@@ -288,15 +288,15 @@ def test_color_family_general_hits_small_tuples():
             assert any(f[a1] == 1 and f[a2] == 2 for f in fam), (a1, a2)
 
 
-def scan_color_family(universe_size, sizes, n_ambient, rng, trim):
-    """The family drawn by a per-vertex scan of the cumulative table."""
-    if trim == "pack":
-        room, trimmed = universe_size, []
-        for a in sizes:
-            trimmed.append(min(a, room))
+def scan_color_family(universe_size, sizes, n_ambient, rng, pack):
+    """The family drawn by a per-vertex scan of the cumulative table, each
+    budget capped at the universe or, with pack, at the room the earlier
+    budgets leave."""
+    room, trimmed = universe_size, []
+    for a in sizes:
+        trimmed.append(min(a, room))
+        if pack:
             room -= trimmed[-1]
-    else:
-        trimmed = [min(a, universe_size) for a in sizes]
     total = sum(trimmed)
     if total == 0:
         return [tuple(len(trimmed) for _ in range(universe_size))]
@@ -322,20 +322,27 @@ def scan_color_family(universe_size, sizes, n_ambient, rng, trim):
     return family
 
 
-@pytest.mark.parametrize("trim", ["pack", "each"])
-def test_color_family_matches_a_cumulative_scan(trim):
+@pytest.mark.parametrize("budgets", ["pack", "each"])
+def test_color_family_matches_a_cumulative_scan(budgets):
+    # "each": color_family_general caps each budget at the universe;
+    # "pack": the witness covers' color_family packs its three budgets
     sizes_list = [
         (2, 1, 16), (0, 3, 2), (3, 0, 0), (0, 0, 4), (1, 0, 2, 0, 3),
         (4, 4), (1,), (5, 2, 54), (0, 0), (2, 2, 2, 2),
     ]
+    if budgets == "pack":
+        sizes_list = [sizes for sizes in sizes_list if len(sizes) == 3]
     for seed in range(40):
         for sizes in sizes_list:
             universe = seed % 9
             ours, ref = random.Random(seed), random.Random(seed)
-            fam = color_family_general(universe, sizes, 30, ours, trim=trim)
-            assert fam == scan_color_family(universe, sizes, 30, ref, trim), (
-                seed, sizes,
-            )
+            if budgets == "pack":
+                fam = color_family(universe, *sizes, 30, ours)
+            else:
+                fam = color_family_general(universe, sizes, 30, ours)
+            assert fam == scan_color_family(
+                universe, sizes, 30, ref, pack=budgets == "pack"
+            ), (seed, sizes)
             assert ours.getstate() == ref.getstate()
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qktree import cli
 from qktree.cli import generate_graph, main
 from qktree.core import is_connected, parse_edge_list
 
@@ -208,6 +209,15 @@ def test_verify_vertex_out_of_range_exits_one(tmp_path, capsys):
     assert "vertex 9" in err and err.count("\n") == 1
 
 
+def test_verify_unknown_variant_exits_one(tmp_path, capsys):
+    graph, deco = decomposition_file(
+        tmp_path, capsys, lambda d: d.update(variant="BOGUS")
+    )
+    code, out, err = run(capsys, "verify", graph, deco, "--k", "1")
+    assert code == 1 and out == ""
+    assert "unknown variant 'BOGUS'" in err and err.count("\n") == 1
+
+
 def test_bench_default_model_exits_zero(capsys):
     # the default gnp graph at n = 30 is disconnected
     code, out, _ = run(capsys, "bench", "--sizes", "30")
@@ -224,6 +234,25 @@ def assert_one_error_line(code, out, err):
 
 def test_bench_size_zero_exits_one(capsys):
     assert_one_error_line(*run(capsys, "bench", "--sizes", "0"))
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_bench_k_below_one_exits_one(k, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "balanced_origin", never)
+    code, out, err = run(capsys, "bench", "--sizes", "10", "--k", k)
+    assert_one_error_line(code, out, err)
+    assert "k must be at least 1" in err
+
+
+@pytest.mark.parametrize("prob", ["2", "-1", "nan"])
+def test_gen_prob_outside_the_unit_interval_exits_one(prob, capsys):
+    code, out, err = run(capsys, "gen", "--model", "gnp", "--n", "4",
+                         "--prob", prob)
+    assert_one_error_line(code, out, err)
+    assert "prob must be in [0, 1]" in err
 
 
 def test_decompose_unwritable_out_exits_one(gnp_file, capsys):
@@ -290,6 +319,8 @@ def cli_runs(draw):
             '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}',
             '{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
             '[{"id": 0, "parent": 5, "bag": [0, "a"]}]}',
+            '{"n": 3, "variant": "BOGUS", "seed": 0, "nodes": '
+            '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}',
         ]))
         argv = ["verify", "{g}", "{d}", "--k", draw(_K), "--epsilon", draw(_EPS)]
     elif verb == "pwaycut":

@@ -84,8 +84,8 @@ def test_sparse_graph_at_k3_with_110_vertices():
 
 def test_verifier_checks_small_bags_over_the_sweep_limit(monkeypatch):
     # with the sweep's limit at 0 every subtree graph is over it, yet a bag
-    # within the partition limit is still checked, by partitions or by the
-    # sweep; only when that limit is lowered too are bags skipped
+    # within the partition limit is still checked, by the sweep; only when
+    # that limit is lowered too are bags skipped
     from qktree import config
 
     g = connected_gnp(16, 0.25, 3)
@@ -214,6 +214,26 @@ def test_json_roundtrip_and_determinism():
     assert [n.parent for n in back.nodes] == [n.parent for n in deco1.nodes]
 
 
+def test_verifier_checks_bags_by_the_sweep_alone(monkeypatch):
+    # the root bag's subtree graph is the whole path: partitions would need
+    # 24 flows, and 8 * 24 = 192 is under the sweep's 201 candidates, so
+    # check_unbreakable would take them; the verifier must not
+    from qktree import origin
+    from qktree.decomp import RootedTreeDecomposition
+
+    def refuse(*args):
+        raise AssertionError("the verifier ran the partition strategy")
+
+    monkeypatch.setattr(origin, "_check_by_partitions", refuse)
+    deco = RootedTreeDecomposition(200)
+    deco.add_node(None, frozenset({0, 50, 100, 150}))
+    deco.add_node(0, frozenset(range(200)))
+    unb = verify_subtree_unbreakability(path_graph(200), deco, 1, 1)
+    assert unb.checked == [0, 1] and not unb.skipped
+    assert [t for t, _cut in unb.failures] == [0, 1]
+    assert all(cut.size <= 1 for _t, cut in unb.failures)
+
+
 def test_validator_flags_broken_decompositions():
     g = path_graph(6)
     deco, rep = decompose(g, 1, 1, rng=random.Random(0))
@@ -256,6 +276,7 @@ def test_from_json_rejects_missing_keys_and_out_of_range_vertices():
         lambda d: d["nodes"][0].pop("bag"),
         lambda d: d["nodes"][0]["bag"].append(4),
         lambda d: d["nodes"][0]["bag"].append(-1),
+        lambda d: d.update(variant="BOGUS"),
     ):
         bad = json.loads(json.dumps(good))
         edit(bad)
