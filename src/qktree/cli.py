@@ -135,7 +135,7 @@ def _verify_decomposition(g, deco, k, epsilon, variant) -> List[str]:
         total = len(report.checked) + len(report.skipped)
         print(
             f"warning: {len(report.skipped)} of {total} bags not checked "
-            f"(over the exhaustive check's limits): "
+            f"(over the separator sweep's limit): "
             f"{', '.join(map(str, report.skipped))}",
             file=sys.stderr,
         )
@@ -260,11 +260,7 @@ def cmd_bench(args) -> int:
                 rng=random.Random(args.seed), seed=args.seed,
             )
             t3 = time.perf_counter()
-            params = variant_parameters(k, eps)[VARIANT_STANDARD]
-            solver = PwayCutSolver(
-                g, deco, 2, k, params["q_bound"], params["adhesion_bound"],
-                random.Random(args.seed),
-            )
+            solver = PwayCutSolver(g, deco, 2, k, eps, random.Random(args.seed))
             solver.entry(deco.root, (), solver.full)
             t4 = time.perf_counter()
         except (ValueError, RetriesExhaustedError) as exc:

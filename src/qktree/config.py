@@ -23,6 +23,12 @@ CUT_ENUM_LIMIT = 12
 # Largest graph accepted by the carvable-vertex oracle.
 CARVABLE_ENUM_LIMIT = 10
 
+# Largest p that min_pway_cut accepts (an input range, not a tuning knob):
+# the DP's subset convolution has 3^p terms. Untraced on a 2-core host, a
+# path on p vertices at k = p - 1 took 0.81 s and 48 MB maxrss at p = 10,
+# and 5.1 s and 194 MB at p = 11.
+PWAY_P_LIMIT = 10
+
 # Largest number of edge subsets, sum of C(m, i) for i <= k, that the
 # brute-force p-way cut oracle enumerates: 46-60 µs each on a 2-core host,
 # so a few seconds at the limit.

@@ -1,5 +1,5 @@
-"""Exact Minimum p-Way Cut by dynamic programming over an unbreakable tree
-decomposition, with a component-flip DP and color coding for large bags."""
+"""Minimum p-Way Cut by DP over an unbreakable tree decomposition: exact on
+small bags, one-sided color coding plus a component-flip DP on large ones."""
 
 from __future__ import annotations
 
@@ -49,29 +49,27 @@ def _submasks(m: int) -> List[int]:
 class _Node:
     """Precomputed per-node bag structure used by both entry regimes."""
 
-    __slots__ = (
-        "bag", "pos", "adh", "adh_local", "children", "cost_edges", "units",
-    )
+    __slots__ = ("bag", "adh_local", "children", "cost_edges", "units")
 
     def __init__(self, g: Graph, deco: RootedTreeDecomposition, t: int):
         self.bag: Tuple[int, ...] = tuple(sorted(deco.bag(t)))
-        self.pos = {v: i for i, v in enumerate(self.bag)}
-        self.adh: Tuple[int, ...] = tuple(sorted(deco.adhesion_set(t)))
-        self.adh_local: Tuple[int, ...] = tuple(self.pos[v] for v in self.adh)
-        adh_set = set(self.adh)
+        pos = {v: i for i, v in enumerate(self.bag)}
+        adh = sorted(deco.adhesion_set(t))
+        self.adh_local: Tuple[int, ...] = tuple(pos[v] for v in adh)
+        adh_set = set(adh)
         self.cost_edges: List[Tuple[int, int]] = [
-            (self.pos[u], self.pos[v])
+            (pos[u], pos[v])
             for u in self.bag
             for v in g.adj[u]
-            if u < v and v in self.pos
+            if u < v and v in pos
             and not (u in adh_set and v in adh_set)
         ]
-        # children as (child id, adhesion colors aligned with sorted order,
-        # local indices of the adhesion inside this bag)
+        # children as (child id, local indices inside this bag of the
+        # child's adhesion, in sorted order)
         self.children: List[Tuple[int, Tuple[int, ...]]] = []
         for c in deco.nodes[t].children:
             c_adh = tuple(sorted(deco.adhesion_set(c)))
-            self.children.append((c, tuple(self.pos[v] for v in c_adh)))
+            self.children.append((c, tuple(pos[v] for v in c_adh)))
         # breakable units as vertex tuples, bag edges first, then the
         # multi-vertex child adhesions; a coloring of cost <= k crosses at
         # most k of them in total
@@ -102,35 +100,36 @@ class PwayCutSolver:
     to enumerate."""
 
     def __init__(
-        self,
-        g: Graph,
-        deco: RootedTreeDecomposition,
-        p: int,
-        k: int,
-        q: int,
-        sigma: int,
-        rng,
+        self, g: Graph, deco: RootedTreeDecomposition, p: int, k: int,
+        epsilon, rng,
     ):
         self.g = g
         self.p = p
         self.k = k
-        self.q = q
-        self.sigma = sigma
         self.rng = rng
         self.inf = k + 1
         self.full = (1 << p) - 1
+        # the coded regime's color budgets, from the bounds of STANDARD:
+        # q per non-heavy class, q k sigma for the heavy vertices next to
+        # crossing edges and adhesions
+        params = variant_parameters(k, epsilon)[VARIANT_STANDARD]
+        q = params["q_bound"]
+        self.budgets = [q] * (p - 1) + [q * k * params["adhesion_bound"]]
         self.vectors: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
         self.info = [_Node(g, deco, t) for t in range(len(deco.nodes))]
         self.submasks = [_submasks(m) for m in range(self.full + 1)]
         self.popcount = [bin(m).count("1") for m in range(self.full + 1)]
+        # absorb[free][m] is 0 when `free` unconstrained components can take
+        # the colors of m, else k+1; absorb[0] is the unit of `_merge`
+        self.absorb = [
+            tuple(0 if c <= free else self.inf for c in self.popcount)
+            for free in range(p + 1)
+        ]
         # per node, built on first use by the exact regime
         self.shapes: List[Optional[List[tuple]]] = [None] * len(self.info)
-        empty = (0,) + (self.inf,) * self.full
+        # per node, (profile prefix, free) -> `_chain` vector
         self.chains: List[Dict[Tuple, Tuple[int, ...]]] = [
-            {(): empty} for _ in self.info
-        ]
-        # one stored copy of each equal tuple kept in `chains`
-        self.shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+            {((), 0): self.absorb[0]} for _ in self.info]
         # (components, colors of f as a mask) -> colorings up to free colors
         self.colorings: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
         # per node, the flip DP's auxiliary graph, built on first use
@@ -206,31 +205,20 @@ class PwayCutSolver:
             out.append(best)
         return out
 
-    def _chain(
-        self, t: int, profile: Tuple[Tuple[int, ...], ...],
-    ) -> Tuple[int, ...]:
-        """Minimum total cost of node t's children per required-color mask,
-        where child i gets adhesion coloring profile[i]: colors of the mask
-        must be realized somewhere below, split among the children.
-
-        The fold is cached in `chains` after every child, keyed by the
-        profile's prefix, since a node's profiles share prefixes. Chains
-        live as long as the solver, and a node has many profiles but few
-        distinct parts and chain vectors, so one copy of each is kept."""
-        chains = self.chains[t]
-        d = chains.get(profile)
+    def _chain(self, t: int, profile: tuple, free: int) -> Tuple[int, ...]:
+        """Minimum total cost of node t's first len(profile) children per
+        required-color mask, child i with adhesion coloring profile[i] and
+        `free` unconstrained bag components each realizing one color; each
+        prefix extends the shorter one's memoized vector by one child."""
+        d = self.chains[t].get((profile, free))
         if d is None:
-            done = len(profile) - 1
-            while profile[:done] not in chains:
-                done -= 1
-            d = chains[profile[:done]]
-            share = self.shared.setdefault
-            children = self.info[t].children
-            for i in range(done, len(profile)):
-                part = share(profile[i], profile[i])
-                d = tuple(self._merge(self.vector(children[i][0], part), d))
-                d = share(d, d)
-                chains[profile[:i] + (part,)] = d
+            if free:
+                d = self._merge(self.absorb[free], self._chain(t, profile, 0))
+            else:
+                d = self._chain(t, profile[:-1], 0)
+                c = self.info[t].children[len(profile) - 1][0]
+                d = self._merge(self.vector(c, profile[-1]), d)
+            d = self.chains[t][(profile, free)] = tuple(d)
         return d
 
     # ---- exact regime ---------------------------------------------------
@@ -307,13 +295,15 @@ class PwayCutSolver:
 
         The crossing sets and the components they leave do not depend on f,
         so they are built once per node (`_node_shapes`), as are the child
-        chains per restriction profile (`chains`); per f only the adhesion
-        conflict check and the colorings remain. A set in which some crossing
-        unit keeps all its vertices in one component is skipped: the same
-        set without that unit leaves the same components, and each of its
-        groups has the same bag cost and profile and at least as many free
-        components, so it matches or beats the skipped group for every mask
-        and the vector is unchanged.
+        chains per restriction profile and count of free components
+        (`_chain`, which also gives the colors the bag leaves unrealized to
+        those components); per f only the adhesion conflict check and the
+        colorings remain. A set in which some crossing unit keeps all its
+        vertices in one component is skipped: the same set without that unit
+        leaves the same components, and each of its groups has the same bag
+        cost and profile and at least as many free components, so it matches
+        or beats the skipped group for every mask and the vector is
+        unchanged.
 
         Every component meeting the adhesion takes a color of f, so a
         permutation of the colors f does not use (the free colors) maps the
@@ -370,19 +360,12 @@ class PwayCutSolver:
                     groups[key] = bagcost
 
         vec = [inf] * (self.full + 1)
-        popcount = self.popcount
         for (profile, realized, free), bagcost in groups.items():
-            d = self._chain(t, profile)
+            d = self._chain(t, profile, free)
             for imask in range(self.full + 1):
-                need = imask & ~realized
-                best = vec[imask]
-                # unconstrained components can each absorb one missing color
-                for z in self.submasks[need]:
-                    if popcount[z] <= free:
-                        cand = bagcost + d[need ^ z]
-                        if cand < best:
-                            best = cand
-                vec[imask] = best
+                cand = bagcost + d[imask & ~realized]
+                if cand < vec[imask]:
+                    vec[imask] = cand
         for orbit in self._orbits(fmask):
             best = min([vec[m] for m in orbit])
             for m in orbit:
@@ -421,9 +404,11 @@ class PwayCutSolver:
     # ---- color-coding regime ---------------------------------------------
 
     def _coded_vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
-        """M[t, f, .] with high probability: guess the heavy color, draw a
-        random hitting family of bag colorings, and for each one run the
-        component-flip DP."""
+        """M[t, f, .] by color coding: guess the heavy color, draw a random
+        hitting family of bag colorings, and for each one run the
+        component-flip DP. No entry comes out too low, but a family (at most
+        config.FAMILY_SIZE_LIMIT colorings) that misses every optimal
+        coloring leaves its entry too high, or infeasible."""
         p, inf = self.p, self.inf
         vec = [inf] * (self.full + 1)
         for c in range(1, p + 1):
@@ -442,11 +427,10 @@ class PwayCutSolver:
         universe = len(info.bag)
         if universe == 0:
             return list(self._exact_vector(t, f_rel))
-        # classes 1..p-1 bound the non-heavy color classes; class p bounds
-        # the heavy-colored vertices adjacent to crossing edges/adhesions;
-        # color_family_general caps each at the bag's size
-        sizes = [self.q] * (p - 1) + [self.q * self.k * self.sigma]
-        family = color_family_general(universe, sizes, max(self.g.n, 2), self.rng)
+        # color_family_general caps each budget at the bag's size
+        family = color_family_general(
+            universe, self.budgets, max(self.g.n, 2), self.rng
+        )
         vec = [inf] * (self.full + 1)
         pbit = 1 << (p - 1)
         for base in family:
@@ -499,7 +483,7 @@ class PwayCutSolver:
             if gp[a] != gp[b]:
                 keep_cost[comp_of[a] if a in comp_of else comp_of[b]] += 1
 
-        row = [0] + [inf] * self.full
+        row = self.absorb[0]
         for ci in group0:
             cid, adh_l = info.children[ci]
             row = self._merge(self.vector(cid, (p,) * len(adh_l)), row)
@@ -540,9 +524,15 @@ def min_pway_cut(
     connected components, and if so return the minimum number of deletions.
 
     Runs the tree-decomposition DP; the minimum p-way cut size equals the
-    minimum cost of a p-coloring of V(g) that uses all p colors."""
+    minimum cost of a p-coloring of V(g) that uses all p colors. p must be
+    in 2..config.PWAY_P_LIMIT (10). Only bags within config.PWAY_EXACT_* are
+    exact; larger ones go through color coding, whose error is one-sided: a
+    cost can come out too high, or a feasible instance infeasible, but a
+    cost never comes out too low."""
     if p < 2:
         raise ValueError("p must be at least 2")
+    if p > config.PWAY_P_LIMIT:
+        raise ValueError(f"p must be at most {config.PWAY_P_LIMIT}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     ncomp = len(connected_components(g))
@@ -554,10 +544,7 @@ def min_pway_cut(
     if rng is None:
         rng = random.Random(seed)
     deco, _report = decompose(g, k, epsilon, VARIANT_STANDARD, rng=rng, seed=seed)
-    params = variant_parameters(k, epsilon)[VARIANT_STANDARD]
-    solver = PwayCutSolver(
-        g, deco, p, k, params["q_bound"], params["adhesion_bound"], rng
-    )
+    solver = PwayCutSolver(g, deco, p, k, epsilon, rng)
     sys.setrecursionlimit(
         max(sys.getrecursionlimit(), 6 * len(deco.nodes) + 1000)
     )

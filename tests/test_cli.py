@@ -102,7 +102,7 @@ def test_verify_verb_accepts_and_rejects(gnp_file, tmp_path, capsys):
 
 def test_verify_reports_skipped_bags(tmp_path, capsys):
     # at k = 4 the root bag of this G(60, 0.08) graph needs 523,686 sweep
-    # candidates, over the exhaustive check's limits; the other bags are
+    # candidates, over the separator sweep's limit; the other bags are
     # checked, so the verdict stays OK and exit 0, with one stderr line
     code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
                        "--prob", "0.08", "--seed", "0")
@@ -115,7 +115,7 @@ def test_verify_reports_skipped_bags(tmp_path, capsys):
     assert code == 0 and out == "OK\n"
     assert err.startswith("warning: 1 of ") and err.count("\n") == 1
     assert err.endswith(
-        " bags not checked (over the exhaustive check's limits): 0\n"
+        " bags not checked (over the separator sweep's limit): 0\n"
     )
 
 
@@ -255,6 +255,26 @@ def test_gen_prob_outside_the_unit_interval_exits_one(prob, capsys):
     assert "prob must be in [0, 1]" in err
 
 
+@pytest.mark.parametrize("verb", ["decompose", "verify", "pwaycut", "bench"])
+@pytest.mark.parametrize("eps", ["0", "2", "1/0", "x"])
+def test_epsilon_outside_zero_one_exits_two(verb, eps, tmp_path, capsys):
+    path = write_graph(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    argv = {"decompose": ["decompose", path], "verify": ["verify", path, path],
+            "pwaycut": ["pwaycut", path, "--p", "2"], "bench": ["bench"]}[verb]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--k", "1", "--epsilon", eps])
+    assert exc.value.code == 2
+    # "x" fails Fraction() itself, so argparse words that error
+    assert "epsilon" in capsys.readouterr().err
+
+
+def test_pwaycut_p_over_its_limit_exits_one(tmp_path, capsys):
+    path = write_graph(tmp_path, "p3.txt", "3 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, "pwaycut", path, "--p", "11", "--k", "1")
+    assert_one_error_line(code, out, err)
+    assert "p must be at most 10" in err
+
+
 def test_decompose_unwritable_out_exits_one(gnp_file, capsys):
     assert_one_error_line(*run(capsys, "decompose", gnp_file, "--k", "1",
                                "--out", "/nonexistent/x.json"))
@@ -312,20 +332,28 @@ def cli_runs(draw):
         if draw(st.booleans()):
             argv.append("--verify")
     elif verb == "verify":
-        files["g"] = draw(st.sampled_from([files["g"], "3 2\n0 1\n1 2\n"]))
-        files["d"] = draw(st.sampled_from([
-            "", "[]", "{}", "nope", '{"n": 2, "nodes": []}',
-            '{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
-            '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}',
-            '{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
-            '[{"id": 0, "parent": 5, "bag": [0, "a"]}]}',
-            '{"n": 3, "variant": "BOGUS", "seed": 0, "nodes": '
-            '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}',
+        # each decomposition comes with its own graph, and the n = 3 ones
+        # with a valid epsilon, so a fault that needs a decomposition and
+        # its graph together is not left to chance
+        p3 = "3 2\n0 1\n1 2\n"
+        files["d"], files["g"] = draw(st.sampled_from([
+            ("", files["g"]), ("[]", files["g"]), ("{}", files["g"]),
+            ("nope", files["g"]), ('{"n": 2, "nodes": []}', files["g"]),
+            ('{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
+             '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}', p3),
+            ('{"n": 3, "variant": "STANDARD", "seed": 0, "nodes": '
+             '[{"id": 0, "parent": 5, "bag": [0, "a"]}]}', p3),
+            ('{"n": 3, "variant": "BOGUS", "seed": 0, "nodes": '
+             '[{"id": 0, "parent": null, "bag": [0, 1, 2]}]}', p3),
         ]))
-        argv = ["verify", "{g}", "{d}", "--k", draw(_K), "--epsilon", draw(_EPS)]
+        eps = _EPS
+        if files["d"].startswith('{"n": 3'):
+            eps = st.sampled_from(["1", "1/2", "1/3"])
+        argv = ["verify", "{g}", "{d}", "--k", draw(_K), "--epsilon", draw(eps)]
     elif verb == "pwaycut":
-        argv = ["pwaycut", "{g}", "--p", draw(_INTS), "--k", draw(_K),
-                "--epsilon", draw(_EPS), "--seed", draw(_INTS)]
+        # p = 11 is over min_pway_cut's range
+        argv = ["pwaycut", "{g}", "--p", draw(st.one_of(_INTS, st.just("11"))),
+                "--k", draw(_K), "--epsilon", draw(_EPS), "--seed", draw(_INTS)]
         if draw(st.booleans()):
             argv.append("--oracle")
     elif verb == "ssmc":

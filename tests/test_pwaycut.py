@@ -3,14 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from qktree import config
+from qktree import config, pwaycut
 from qktree.core import (
     Graph,
     SizeGuardError,
     connected_components,
     induced_subgraph,
 )
-from qktree.decomp import VARIANT_STANDARD, decompose, variant_parameters
+from qktree.decomp import decompose
 from qktree.pwaycut import PwayCutSolver, min_pway_cut
 from qktree.verify import brute_pway_cut
 from qktree.verify import INFEASIBLE as BRUTE_INFEASIBLE
@@ -77,6 +77,9 @@ def test_input_validation():
         min_pway_cut(path_graph(3), 1, 2)
     with pytest.raises(ValueError):
         min_pway_cut(path_graph(3), 2, -1)
+    # rejected up front, before the shortcut that would call it infeasible
+    with pytest.raises(ValueError, match="p must be at most 10"):
+        min_pway_cut(path_graph(3), 11, 2)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -97,7 +100,7 @@ def test_merge_is_a_saturating_subset_convolution(p):
     g = path_graph(3)
     deco, _ = decompose(g, 1, 1, seed=0)
     for k in range(5):
-        solver = PwayCutSolver(g, deco, p, k, 1, 1, rng)
+        solver = PwayCutSolver(g, deco, p, k, 1, rng)
         inf = k + 1
         for _ in range(20):
             a = [rng.randint(0, inf) for _ in range(1 << p)]
@@ -195,11 +198,7 @@ def brute_vector(g, deco, t, f, p, k):
 
 def solved(g, p, k, seed):
     deco, _ = decompose(g, k, 1, rng=random.Random(seed), seed=seed)
-    params = variant_parameters(k, 1)[VARIANT_STANDARD]
-    solver = PwayCutSolver(
-        g, deco, p, k, params["q_bound"], params["adhesion_bound"],
-        random.Random(seed),
-    )
+    solver = PwayCutSolver(g, deco, p, k, 1, random.Random(seed))
     solver.entry(deco.root, (), solver.full)
     return deco, solver
 
@@ -304,6 +303,29 @@ def test_coded_regime_matches_exact(seed, monkeypatch):
     for p in (2, 3):
         for k in range(0, 4):
             check_against_oracle(g, p, k, seed * 29 + p + k)
+
+
+def test_coded_regime_errs_only_upward(monkeypatch):
+    # one coloring per family makes the coded regime miss often; a miss may
+    # raise a cost or make a feasible instance infeasible, never lower a cost
+    monkeypatch.setattr(config, "PWAY_EXACT_BAG_LIMIT", -1)
+    family = pwaycut.color_family_general
+    monkeypatch.setattr(
+        pwaycut, "color_family_general", lambda *args: family(*args)[:1]
+    )
+    too_high = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = gnp(rng.randint(5, 10), 0.35, seed + 500)
+        for p in (2, 3):
+            for k in (1, 2, 3):
+                res = min_pway_cut(g, p, k, 1, rng=random.Random(seed))
+                oracle = brute_pway_cut(g, p, k)
+                got = res.cost if res.feasible else k + 1
+                want = k + 1 if oracle == BRUTE_INFEASIBLE else oracle
+                assert got >= want, (g.edges(), p, k, res, oracle)
+                too_high += got > want
+    assert too_high
 
 
 def gnm(n, m, seed):
