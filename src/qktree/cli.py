@@ -238,7 +238,7 @@ def cmd_bench(args) -> int:
     k, eps = args.k, args.epsilon
     if k < 1:
         raise ValueError("k must be at least 1")
-    sigma = math.ceil(1 / eps) * k + k
+    sigma = variant_parameters(k, eps)[VARIANT_STANDARD]["sigma"]
     lines = ["size,stage,millis"]
     for n in sizes:
         try:

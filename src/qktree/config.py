@@ -1,10 +1,10 @@
 """Tunable constants and enumeration limits, collected in one place."""
 
-# Largest set w accepted by the partition strategy of the unbreakability
-# check (one bounded flow per 2-partition of w minus a forced subset). A
-# set this small is always checked, whatever the sweep's limit below: by
-# the cheaper of partitions and the separator sweep while decompositions
-# are built, and by the sweep in the verifier.
+# Largest set w that the separator sweep of the unbreakability check (and
+# the verifier) always checks, whatever its DFS passes below: the sweep
+# skips every separator with fewer than 2q + 2 - |w| vertices of w.
+# Sparse decompositions at n = 60, k = 4 rely on it, since every full
+# sweep there is over the pass limit.
 UNBREAKABLE_ENUM_LIMIT = 24
 
 # Largest number of DFS passes that the separator sweep of the

@@ -137,36 +137,46 @@ def _components_without(profile, w: int) -> List[int]:
 _PROFILED_SIZES = 3
 
 
-def _disconnecting_separators(g: Graph, k: int):
-    """Yields lazily every vertex set of size <= k whose removal leaves >= 2
-    components, as (mask, components), ascending by (size, lexicographic
-    members); a caller that stops early pays only for what it read.
+def _disconnecting_separators(g: Graph, k: int, wmask: int, need: int):
+    """Yields lazily every vertex set of size <= k that holds at least
+    `need` vertices of wmask and whose removal leaves >= 2 components, as
+    (mask, components), ascending by (size, lexicographic members); a
+    caller that stops early pays only for what it read.
 
     Sizes 1.._PROFILED_SIZES are read off one DFS forest of the graph minus
-    each smaller prefix (its cut vertices, and the components they leave)
-    rather than a component computation per candidate subset. Larger sizes
-    use the plain sweep: reading size 4 off profiles of the size-3 prefixes
-    made the enumeration about 30% slower on the p-way benchmark's graphs
-    at k = 4 (1.04 s against 0.81 s per 30 instances, median of 3 runs on
-    a 2-core host).
-    """
+    each smaller prefix (its cut vertices, and the components they leave);
+    a prefix short of need - 1 w-vertices gets none, and one at need - 1
+    takes only last vertices in w. Larger sizes use the plain sweep, which
+    counts a candidate's w-vertices before its component search: reading
+    size 4 off profiles of the size-3 prefixes made the enumeration about
+    30% slower on the p-way benchmark's graphs at k = 4 (1.04 s against
+    0.81 s per 30 instances, median of 3 runs on a 2-core host)."""
     if k < 0:
         return
     n = g.n
-    base = components_masks(g, 0)
-    if len(base) >= 2:
-        yield 0, base
-    for size in range(1, min(k, _PROFILED_SIZES) + 1):
+    full = (1 << n) - 1
+    if need <= 0:
+        base = components_masks(g, 0)
+        if len(base) >= 2:
+            yield 0, base
+    for size in range(max(need, 1), min(k, _PROFILED_SIZES) + 1):
         for prefix in combinations(range(n), size - 1):
             pmask = set_to_mask(prefix)
+            start = pmask.bit_length()
+            short = need - bin(pmask & wmask).count("1")
+            lasts = wmask if short == 1 else full
+            if short > 1 or not lasts >> start:
+                continue
             profile = _removal_profile(g, pmask)
             count = profile[3]
-            for w in range(pmask.bit_length(), n):
-                if count[w] >= 2:
+            for w in range(start, n):
+                if count[w] >= 2 and (lasts >> w) & 1:
                     yield pmask | 1 << w, _components_without(profile, w)
-    for size in range(_PROFILED_SIZES + 1, min(k, n) + 1):
+    for size in range(max(need, _PROFILED_SIZES + 1), min(k, n) + 1):
         for sep in combinations(range(n), size):
             smask = set_to_mask(sep)
+            if bin(smask & wmask).count("1") < need:
+                continue
             comps = components_masks(g, smask)
             if len(comps) >= 2:
                 yield smask, comps
@@ -174,8 +184,9 @@ def _disconnecting_separators(g: Graph, k: int):
 
 def _sweep_passes(n: int, k: int) -> int:
     """DFS passes that _disconnecting_separators makes when read to the
-    end, on n vertices: one removal profile per prefix of a profiled size,
-    one component search per candidate of a larger size."""
+    end with nothing skipped, on n vertices: one removal profile per
+    prefix of a profiled size, one component search per candidate of a
+    larger size."""
     return sum(
         math.comb(n, s) for s in range(min(k, _PROFILED_SIZES))
     ) + sum(
@@ -184,39 +195,42 @@ def _sweep_passes(n: int, k: int) -> int:
 
 
 def _sweep_allowed(g: Graph, wlen: int, k: int) -> bool:
-    """The sweep's guard: at most config.SEPARATOR_SWEEP_LIMIT DFS passes,
-    or a set w within the partition strategy's limit, which is always
-    checked: by the cheaper of partitions and the sweep in
-    check_unbreakable, by the sweep in the verifier."""
+    """The sweep's guard: at most config.SEPARATOR_SWEEP_LIMIT DFS passes
+    for a full sweep, or a set w of at most config.UNBREAKABLE_ENUM_LIMIT
+    vertices, which the sweep always checks, whatever its passes."""
     return (
         wlen <= config.UNBREAKABLE_ENUM_LIMIT
         or _sweep_passes(g.n, k) <= config.SEPARATOR_SWEEP_LIMIT
     )
 
 
-def _too_few(wlen: int, q: int, k: int) -> bool:
-    """True when no witness exists: it needs |L∩w| + |R∩w| >= 2q+2, but
-    that sum is at most |w| + |separator ∩ w| <= |w| + min(k, |w|)."""
-    return wlen + min(k, wlen) < 2 * q + 2
+def _need(wlen: int, q: int, k: int) -> Optional[int]:
+    """The fewest w-vertices in the separator S = L∩R of any witness, as
+    |L∩w| + |R∩w| = |w| + |S∩w| must reach 2q + 2; None when that is over
+    min(k, |w|), so that no witness exists."""
+    need = 2 * q + 2 - wlen
+    return None if need > min(k, wlen) else need
 
 
 def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
     """check_unbreakable by the separator sweep alone, exact: every vertex
-    set of size <= k that disconnects g, unless w is too small for any
-    witness. Raises SizeGuardError when _sweep_allowed refuses."""
+    set of size <= k that disconnects g and holds enough w-vertices for a
+    witness (_need), unless w is too small for any. Raises
+    SizeGuardError when _sweep_allowed refuses."""
     wset = set(w)
-    if _too_few(len(wset), q, k):
+    need = _need(len(wset), q, k)
+    if need is None:
         return UNBREAKABLE
     if not _sweep_allowed(g, len(wset), k):
         raise SizeGuardError(
             f"n={g.n}, k={k} needs {_sweep_passes(g.n, k)} separator-sweep "
             f"passes, over the limit {config.SEPARATOR_SWEEP_LIMIT}, and "
-            f"|w| = {len(wset)} exceeds the partition limit "
+            f"|w| = {len(wset)} exceeds the small-set limit "
             f"{config.UNBREAKABLE_ENUM_LIMIT}"
         )
     wmask = set_to_mask(wset)
     full = (1 << g.n) - 1
-    for smask, comps in _disconnecting_separators(g, k):
+    for smask, comps in _disconnecting_separators(g, k, wmask, need):
         q2 = q - bin(smask & wmask).count("1")
         if q2 < 0:
             left = comps[0]
@@ -234,52 +248,6 @@ def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
         return VertexCut(
             mask_to_set(left), mask_to_set((full & ~left) | smask)
         )
-    return UNBREAKABLE
-
-
-def _partitions_cheaper(g: Graph, wlen: int, q: int, k: int) -> bool:
-    """Whether the partition strategy applies (q >= k, |w| at most
-    config.UNBREAKABLE_ENUM_LIMIT) and its flows, one per forced subset
-    and partition, number under an eighth of the sweep's candidates."""
-    if q < k or wlen > config.UNBREAKABLE_ENUM_LIMIT:
-        return False
-    flows = sum(
-        math.comb(wlen, s) * (1 << max(wlen - s - 1, 0))
-        for s in range(0, min(k, wlen) + 1)
-    )
-    return flows * 8 < sum(math.comb(g.n, s) for s in range(min(k, g.n) + 1))
-
-
-def _check_by_partitions(g: Graph, w: List[int], q: int, k: int):
-    """Enumerate forced-separator subsets of w plus partitions of the rest,
-    one bounded flow each; exact (requires q >= k)."""
-    full = (1 << g.n) - 1
-    cg = unit_capacities(g)
-    for s_size in range(0, min(k, len(w)) + 1):
-        for forced in combinations(w, s_size):
-            q2 = q - s_size  # >= 0 since s_size <= k <= q
-            fmask = set_to_mask(forced)
-            rest = [v for v in w if not (fmask >> v) & 1]
-            if len(rest) < 2 * (q2 + 1):
-                continue
-            rmask = set_to_mask(rest)
-            anchor, others = rest[0], rest[1:]
-            for bitsel in range(1 << len(others)):
-                if not q2 < 1 + bin(bitsel).count("1") < len(rest) - q2:
-                    continue
-                side_a = 1 << anchor | set_to_mask(
-                    v for i, v in enumerate(others) if (bitsel >> i) & 1
-                )
-                sep = _cut(
-                    cg, fmask, side_a, rmask & ~side_a, k - s_size,
-                    cut_sources=True, cut_sinks=True,
-                )
-                if sep is not None:
-                    reach = _reach(g, side_a, fmask | sep)
-                    return VertexCut(
-                        mask_to_set(reach | sep | fmask),
-                        mask_to_set(full & ~reach),
-                    )
     return UNBREAKABLE
 
 
@@ -439,22 +407,19 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     """Certify that w is (q,k)-unbreakable in g, or return a breakable
     witness: a cut (L,R) with |L∩R| <= k, |L∩w| > q, and |R∩w| > q.
 
-    Exact. Three strategies, each guarded by its own cost:
+    Exact. Two strategies, each guarded by its own cost:
 
-    - partitions (q >= k, |w| <= config.UNBREAKABLE_ENUM_LIMIT): force
-      each subset of w of size <= k into the separator and run one
-      bounded flow per 2-partition of the rest;
     - the separator sweep (at most config.SEPARATOR_SWEEP_LIMIT DFS
-      passes, or any w within the partition limit): go through the vertex
-      sets of size <= k that disconnect g, smallest first, and stop at the
+      passes, or any w of at most config.UNBREAKABLE_ENUM_LIMIT vertices):
+      go through the vertex sets of size <= k that disconnect g and hold
+      at least 2q + 2 - |w| vertices of w, smallest first, and stop at the
       first whose components split w;
     - the core strategy (q >= k, more than q vertices of w of degree
       > k): bounded flows and important separators, below.
 
     A set w too small for any witness is unbreakable at once. Otherwise
-    partitions run when their flows number under an eighth of the sweep's
-    candidates, the core strategy when its estimate, (k+1)(C(|w|,2) + |w|)
-    searches, is under the sweep's DFS passes or the sweep's guard
+    the core strategy runs when its estimate, (k+1)(C(|w|,2) + |w|)
+    searches, is under a full sweep's DFS passes or the sweep's guard
     refuses, and else the sweep; the sweep also answers where the core
     strategy does not apply. The verifier runs the sweep alone.
 
@@ -488,10 +453,8 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
-    if _too_few(len(wset), q, k):
+    if _need(len(wset), q, k) is None:
         return UNBREAKABLE
-    if _partitions_cheaper(g, len(wset), q, k):
-        return _check_by_partitions(g, wset, q, k)
     if (
         q >= k
         and sum(len(g.adj[v]) > k for v in wset) > q

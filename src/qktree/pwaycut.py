@@ -208,17 +208,23 @@ class PwayCutSolver:
     def _chain(self, t: int, profile: tuple, free: int) -> Tuple[int, ...]:
         """Minimum total cost of node t's first len(profile) children per
         required-color mask, child i with adhesion coloring profile[i] and
-        `free` unconstrained bag components each realizing one color; each
-        prefix extends the shorter one's memoized vector by one child."""
-        d = self.chains[t].get((profile, free))
-        if d is None:
-            if free:
-                d = self._merge(self.absorb[free], self._chain(t, profile, 0))
-            else:
-                d = self._chain(t, profile[:-1], 0)
-                c = self.info[t].children[len(profile) - 1][0]
-                d = self._merge(self.vector(c, profile[-1]), d)
-            d = self.chains[t][(profile, free)] = tuple(d)
+        `free` unconstrained bag components each realizing one color; the
+        fold starts from the longest memoized prefix and memoizes each
+        longer one, so a node with many children needs no deep recursion."""
+        chains = self.chains[t]
+        d = chains.get((profile, free))
+        if d is None and free:
+            d = self._merge(self.absorb[free], self._chain(t, profile, 0))
+            d = chains[(profile, free)] = tuple(d)
+        elif d is None:
+            done = len(profile) - 1
+            while (profile[:done], 0) not in chains:
+                done -= 1
+            d = chains[(profile[:done], 0)]
+            for i in range(done, len(profile)):
+                c = self.info[t].children[i][0]
+                d = self._merge(self.vector(c, profile[i]), d)
+                d = chains[(profile[:i + 1], 0)] = tuple(d)
         return d
 
     # ---- exact regime ---------------------------------------------------

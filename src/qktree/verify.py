@@ -213,8 +213,8 @@ def validate_decomposition(
 @dataclass
 class UnbreakabilityReport:
     """Per-bag subtree unbreakability outcome; bags over the separator
-    sweep's limits (check_by_separators raises SizeGuardError) are skipped
-    (reported, not fatal)."""
+    sweep's limits (SEPARATOR_SWEEP_LIMIT and UNBREAKABLE_ENUM_LIMIT in
+    config) are skipped (reported, not fatal)."""
 
     q: int
     k: int
@@ -232,8 +232,8 @@ def verify_subtree_unbreakability(g: Graph, deco, q: int, k: int) -> Unbreakabil
     G_t = G[gamma(t)] minus the edges within the adhesion set.
 
     Each check is the separator sweep (check_by_separators), never the
-    partition or core strategies that build decompositions, so the
-    verifier is an independent oracle for them."""
+    core strategy that check_unbreakable also runs while decompositions
+    are built, so the verifier is an independent oracle for it."""
     report = UnbreakabilityReport(q=q, k=k)
     for t in range(len(deco.nodes)):
         bag = deco.bag(t)

@@ -84,7 +84,7 @@ def test_sparse_graph_at_k3_with_110_vertices():
 
 def test_verifier_checks_small_bags_over_the_sweep_limit(monkeypatch):
     # with the sweep's limit at 0 every subtree graph is over it, yet a bag
-    # within the partition limit is still checked, by the sweep; only when
+    # within the small-set limit is still checked, by the sweep; only when
     # that limit is lowered too are bags skipped
     from qktree import config
 
@@ -215,23 +215,35 @@ def test_json_roundtrip_and_determinism():
 
 
 def test_verifier_checks_bags_by_the_sweep_alone(monkeypatch):
-    # the root bag's subtree graph is the whole path: partitions would need
-    # 24 flows, and 8 * 24 = 192 is under the sweep's 201 candidates, so
-    # check_unbreakable would take them; the verifier must not
+    # the root bag's subtree graph is the whole graph, where
+    # check_unbreakable takes the core strategy for that bag (its
+    # estimate, 4 * (C(17, 2) + 17) = 612 searches, is under the sweep's
+    # 1,831 DFS passes); the verifier must not
     from qktree import origin
     from qktree.decomp import RootedTreeDecomposition
 
-    def refuse(*args):
-        raise AssertionError("the verifier ran the partition strategy")
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    rng = random.Random(0)
+    g = Graph(60, rng.sample(pairs, 142))
+    w = frozenset(rng.sample(range(60), 17))
+    core, calls = origin._check_by_core, []
+    monkeypatch.setattr(
+        origin, "_check_by_core", lambda *args: calls.append(1) or core(*args)
+    )
+    assert origin.check_unbreakable(g, w, 3, 3) != origin.UNBREAKABLE
+    assert calls
 
-    monkeypatch.setattr(origin, "_check_by_partitions", refuse)
-    deco = RootedTreeDecomposition(200)
-    deco.add_node(None, frozenset({0, 50, 100, 150}))
-    deco.add_node(0, frozenset(range(200)))
-    unb = verify_subtree_unbreakability(path_graph(200), deco, 1, 1)
+    def refuse(*args):
+        raise AssertionError("the verifier ran the core strategy")
+
+    monkeypatch.setattr(origin, "_check_by_core", refuse)
+    deco = RootedTreeDecomposition(60)
+    deco.add_node(None, w)
+    deco.add_node(0, frozenset(range(60)))
+    unb = verify_subtree_unbreakability(g, deco, 3, 3)
     assert unb.checked == [0, 1] and not unb.skipped
     assert [t for t, _cut in unb.failures] == [0, 1]
-    assert all(cut.size <= 1 for _t, cut in unb.failures)
+    assert all(cut.size <= 3 for _t, cut in unb.failures)
 
 
 def test_validator_flags_broken_decompositions():

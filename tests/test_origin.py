@@ -45,9 +45,8 @@ def test_path_witness():
 
 
 def test_size_guard():
-    # |w| = 60 is over the partition strategy's limit, no vertex has degree
-    # above k for the core strategy, and the sweep would make 5,950,978 DFS
-    # passes
+    # |w| = 60 is over the small-set limit, no vertex has degree above k
+    # for the core strategy, and the sweep would make 5,950,978 DFS passes
     g = path_graph(60)
     with pytest.raises(SizeGuardError):
         check_unbreakable(g, range(60), 5, 5)
@@ -85,25 +84,49 @@ def test_matches_brute_oracle(block):
             assert_witness(g, w, q, k, fast)
 
 
-def test_both_strategies_agree():
-    from qktree.origin import _check_by_partitions, check_by_separators
+def test_pruned_sweep_yields_the_filtered_sweep():
+    # the sweep given w and need yields exactly the full sweep's separators
+    # with at least need w-vertices, in the same order; k reaches 4 and 5,
+    # where the plain path runs, and need <= 0 prunes nothing
+    from qktree.origin import _disconnecting_separators
 
-    checked = 0
-    seed = 900000
-    while checked < 40:
-        seed += 1
-        rng = random.Random(seed)
-        g = gnp(rng.randint(3, 9), rng.uniform(0.2, 0.6), seed)
-        w = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
-        q = rng.randint(1, 2)
-        k = rng.randint(1, q)
-        checked += 1
-        by_part = _check_by_partitions(g, w, q, k)
-        by_sep = check_by_separators(g, w, q, k)
-        assert (by_part == UNBREAKABLE) == (by_sep == UNBREAKABLE)
-        if by_part != UNBREAKABLE:
-            assert_witness(g, w, q, k, by_part)
-            assert_witness(g, w, q, k, by_sep)
+    pruned = 0
+    for seed in range(300):
+        rng = random.Random(300000 + seed)
+        g = gnp(rng.randint(0, 13), rng.uniform(0.05, 0.6), 300000 + seed)
+        k = rng.randint(0, 5)
+        wmask = set_to_mask(rng.sample(range(g.n), rng.randint(0, g.n)))
+        need = rng.randint(-2, k + 1)
+        full = list(_disconnecting_separators(g, k, 0, 0))
+        expected = [
+            (smask, comps) for smask, comps in full
+            if bin(smask & wmask).count("1") >= need
+        ]
+        pruned += len(full) - len(expected)
+        assert list(_disconnecting_separators(g, k, wmask, need)) == expected, (
+            seed, g.edges(), k, wmask, need
+        )
+    assert pruned > 0
+
+
+def test_check_by_separators_matches_brute_oracle():
+    # the pruned sweep stays exact, q < k included
+    below = breakable = 0
+    for seed in range(240):
+        rng = random.Random(400000 + seed)
+        g = gnp(rng.randint(2, 9), rng.uniform(0.15, 0.7), 400000 + seed)
+        w = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+        q = rng.randint(0, 3)
+        k = rng.randint(0, 4)
+        fast = check_by_separators(g, w, q, k)
+        brute = brute_unbreakability(g, w, q, k)
+        case = (seed, g.edges(), sorted(w), q, k)
+        assert (fast == UNBREAKABLE) == (brute == UNBREAKABLE), case
+        if fast != UNBREAKABLE:
+            breakable += 1
+            assert_witness(g, w, q, k, fast)
+        below += q < k
+    assert below >= 60 and breakable >= 40, (below, breakable)
 
 
 def test_disconnecting_separators_match_brute_force():
@@ -123,7 +146,7 @@ def test_disconnecting_separators_match_brute_force():
                 comps = components_masks(g, set_to_mask(sep))
                 if len(comps) >= 2:
                     expected.append((set_to_mask(sep), comps))
-        assert list(_disconnecting_separators(g, k)) == expected, (
+        assert list(_disconnecting_separators(g, k, 0, 0)) == expected, (
             seed, g.edges(), k
         )
 
