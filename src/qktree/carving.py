@@ -12,9 +12,10 @@ from .core import (
     Graph,
     SizeGuardError,
     VertexCut,
-    connected_components,
+    components_masks,
     is_connected,
-    neighborhood,
+    mask_to_set,
+    set_to_mask,
     torso,
 )
 from .flow import EXCEEDS_BOUND, INF, bounded_vertex_maxflow, unit_capacities, with_new_vertices
@@ -210,11 +211,13 @@ def witness_cover(
     sets (L\\R)∩T lie inside q_set: the collection that cuts off the most
     terminals, plus every other witness found that stays disjoint from it.
 
+    The super source s, attached to X, is built once per cover at id g.n.
     Per color function f from a random family, terminals colored 1 become
-    infinite-capacity, a super sink is added per torso component of the
-    color-1 terminals, and a super source attached to X; a single-source
-    mincut cover then yields candidate cuts, which are stripped of super
-    vertices and filtered down to genuine witnesses.
+    infinite-capacity and a super sink (ids g.n + 1, ...) is added per
+    torso component of the color-1 terminals; a single-source mincut cover
+    then yields candidate cuts, which are projected onto g's vertices, so
+    no super-vertex id reaches the output, and filtered down to genuine
+    witnesses.
 
     The error is one-sided: a carvable terminal is missed when no color
     function hits its witness. The capped family hits it with probability
@@ -233,7 +236,6 @@ def witness_cover(
     if ctx.x_set == ctx.t_set:
         return frozenset(), []
     h, ids = ctx.torso_graph()
-    pos = {v: i for i, v in enumerate(ids)}
     a3 = 2 * k_prime ** 3
     family = color_family(len(ids), k_prime + 1, k_prime, a3, g.n, rng)
 
@@ -243,6 +245,9 @@ def witness_cover(
     untested = iter(sorted(ctx.t_set - ctx.x_set))
     pending = None  # a terminal of U not yet in q_set
     cg = unit_capacities(g)
+    # g plus the super source, for every color function to extend
+    with_s = with_new_vertices(g, [ctx.x_set], (1,) * g.n + (INF,))
+    h_adj = h.adj_masks()
     for f in family:
         if ctx.x_set and (pending is None or pending in q_set):
             pending = next((t for t in untested if t not in q_set
@@ -254,26 +259,25 @@ def witness_cover(
             continue
         # one super sink per torso component of the color-1 terminals,
         # joined to the component and its color-2 torso neighborhood
-        comps = connected_components(h, set(range(len(ids))) - set(color1))
-        attach = [
-            [ids[u] for u in comp]
-            + [ids[u] for u in neighborhood(h, comp) if f[u] == 2]
-            for comp in comps
-        ]
-        sink_ids = list(range(g.n, g.n + len(comps)))
-        s_id = g.n + len(comps)
-        attach.append(ctx.x_set)
+        color2 = set_to_mask(local for local in range(len(ids)) if f[local] == 2)
+        comps = components_masks(h, ((1 << len(ids)) - 1) & ~set_to_mask(color1))
+        attach = []
+        for comp in comps:
+            reach = comp
+            for u in mask_to_set(comp):
+                reach |= h_adj[u] & color2
+            attach.append([ids[u] for u in mask_to_set(reach)])
+        sink_ids = list(range(g.n + 1, g.n + 1 + len(comps)))
         # X vertices stay at capacity 1 even when colored 1: they may appear
         # in separators (the cut still keeps X inside R), and an infinite X
         # vertex next to the super source would make mincuts unbounded
-        caps = tuple(
-            INF
-            if v in ctx.t_set and v not in ctx.x_set and f[pos[v]] == 1
-            else 1
-            for v in range(g.n)
-        ) + (INF,) * len(attach)
+        caps = list(with_s.capacity)
+        for local in color1:
+            if ids[local] not in ctx.x_set:
+                caps[ids[local]] = INF
         cover, _captured = single_source_mincut_cover(
-            with_new_vertices(g, attach, caps), s_id, sink_ids, k_prime, rng
+            with_new_vertices(with_s.base, attach, caps + [INF] * len(comps)),
+            g.n, sink_ids, k_prime, rng,
         )
         for coll in cover.collections:
             projs = (VertexCut(c.L & g_vertices, c.R & g_vertices) for c in coll)

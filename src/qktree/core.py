@@ -58,22 +58,18 @@ class Graph:
     def with_new_vertices(self, attach: Iterable[Iterable[int]]) -> "Graph":
         """This graph plus one new vertex per entry of `attach` (ids n,
         n+1, ...), each joined to the listed vertices of this graph."""
-        extra: List[List[int]] = [[] for _ in range(self.n)]
-        new_adj = []
+        adj = list(self.adj)
         for x, nbrs in enumerate(attach, start=self.n):
             nbrs = tuple(sorted(set(nbrs)))
             for v in nbrs:
                 if not 0 <= v < self.n:
                     raise ValueError(f"edge ({x},{v}) out of range for n={self.n}")
-                extra[v].append(x)
-            new_adj.append(nbrs)
+                adj[v] += (x,)
+            adj.append(nbrs)
         g = Graph(0, ())
-        g.n = self.n + len(new_adj)
-        g.adj = tuple(
-            nbrs + tuple(more) if more else nbrs
-            for nbrs, more in zip(self.adj, extra)
-        ) + tuple(new_adj)
-        g.m = self.m + sum(len(nbrs) for nbrs in new_adj)
+        g.n = len(adj)
+        g.adj = tuple(adj)
+        g.m = self.m + sum(len(nbrs) for nbrs in adj[self.n:])
         return g
 
     def __eq__(self, other) -> bool:

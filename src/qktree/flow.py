@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Graph, VertexCut
@@ -32,7 +32,7 @@ class CapacitatedGraph:
     def __post_init__(self):
         if len(self.capacity) != self.base.n:
             raise ValueError("capacity vector length must equal vertex count")
-        if any(c != INF and (c <= 0 or int(c) != c) for c in self.capacity):
+        if any(c != INF and (c <= 0 or int(c) != c) for c in set(self.capacity)):
             raise ValueError("capacities must be positive integers or INF")
 
 
@@ -70,25 +70,23 @@ class _SplitNetwork:
         head = list(base.head) if base is not None else []
         vertex_arc = list(base.vertex_arc) if base is not None else []
         out = list(base.out) if base is not None else []
-        out.extend(() for _ in range(2 * (g.n - n0)))
-        new_arcs: Dict[int, List[Tuple[int, int]]] = {}
-
-        def add(a: int, b: int) -> None:
-            new_arcs.setdefault(a, []).append((len(head), b))
-            head.extend((b, a))
-
+        added: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         for v in range(n0, g.n):
             vertex_arc.append(len(head))
-            add(2 * v, 2 * v + 1)
+            out += [((len(head), 2 * v + 1),), ()]  # in-node, out-node
+            head += (2 * v + 1, 2 * v)
+        # adjacency lists ascend, and every new vertex exceeds the base
+        # ones, so each node's arcs come in ascending head order
         for v in range(n0, g.n):
+            arcs = []
             for u in g.adj[v]:
-                add(2 * v + 1, 2 * u)
+                arcs.append((len(head), 2 * u))
+                head += (2 * u, 2 * v + 1)
                 if u < n0:  # edges between two new vertices come up twice
-                    add(2 * u + 1, 2 * v)
-        # new heads exceed every head of the base network, so appending
-        # them after the base arcs keeps each list in ascending head order
-        for x, arcs in new_arcs.items():
-            arcs.sort(key=itemgetter(1))
+                    added[2 * u + 1].append((len(head), 2 * v))
+                    head += (2 * v, 2 * u + 1)
+            out[2 * v + 1] = tuple(arcs)
+        for x, arcs in added.items():
             out[x] += tuple(arcs)
         self.n = g.n
         self.out = out
@@ -118,8 +116,8 @@ def _capacities(cg: CapacitatedGraph, bound: int) -> List[int]:
         big = bound + 1
         cap = [big, 0] * (len(net.head) // 2)
         for i, c in zip(net.vertex_arc, cg.capacity):
-            if c != INF:
-                cap[i] = min(int(c), big)
+            if c < big:
+                cap[i] = int(c)
         cache[bound] = cap
     return cap
 
@@ -154,11 +152,11 @@ def _max_flow(
 
     Endpoint arcs are modelled, not built: each search starts from all
     source nodes (in ascending order) and ends at the first sink node it
-    reaches. Returns (value, labels of the last search); when the value is
-    at most the bound, that search failed and the nodes labelled _ROOT or
-    with an arc id are exactly the ones the sources reach in the residual
-    network. Every maximum flow leaves the same residual reach, so the cut
-    read from it does not depend on the order arcs are searched in.
+    reaches. Returns (value, the nodes the last search reached, in search
+    order); when the value is at most the bound, that search failed and
+    reached exactly the nodes the sources reach in the residual network.
+    Every maximum flow leaves the same residual reach, so the cut read from
+    it does not depend on the order arcs are searched in.
     """
     head = net.head
     arcs = list(net.out)  # plus the reverse arcs that flow opens, below
@@ -189,7 +187,7 @@ def _max_flow(
             if hit >= 0:
                 break
         if hit < 0:
-            return value, label
+            return value, queue
         path = []
         node = hit
         while label[node] != _ROOT:
@@ -206,22 +204,17 @@ def _max_flow(
                 arcs[head[i]] += ((j, head[j]),)
         value += push
         if value > bound:
-            return value, label
+            return value, queue
 
 
-def _cut_from_labels(label: List[int], n: int) -> VertexCut:
-    """The mincut read off the residual reach of a failed search: vertices
-    whose out-node is reached lie in L\\R, those with only the in-node
-    reached form the separator. This is the unique source-minimal mincut."""
-    left_only = {v for v in range(n) if label[2 * v + 1] >= _ROOT}
-    sep = {
-        v
-        for v in range(n)
-        if label[2 * v] >= _ROOT and label[2 * v + 1] < _ROOT
-    }
-    left = left_only | sep
-    right = set(range(n)) - left_only
-    return VertexCut(frozenset(left), frozenset(right))
+def _cut_from_reach(reached: List[int], n: int) -> VertexCut:
+    """The mincut read off the nodes a failed search reached: vertices
+    whose out-node is reached lie in L\\R, and L holds every vertex with a
+    reached node, so those with only the in-node reached form the
+    separator. This is the unique source-minimal mincut."""
+    left_only = frozenset([x >> 1 for x in reached if x & 1])
+    left = frozenset([x >> 1 for x in reached])
+    return VertexCut(left, frozenset(range(n)) - left_only)
 
 
 def bounded_vertex_maxflow(
@@ -271,10 +264,10 @@ def bounded_vertex_maxflow(
     cap = _capacities(cg, bound)[:]
     src_nodes = sorted(2 * v + (not cut_sources) for v in src)
     snk_nodes = frozenset(2 * v + cut_sinks for v in snk)
-    value, label = _max_flow(net, cap, src_nodes, snk_nodes, bound, removed)
+    value, reached = _max_flow(net, cap, src_nodes, snk_nodes, bound, removed)
     if value > bound:
         return FlowResult(EXCEEDS_BOUND)
-    return FlowResult(value, _cut_from_labels(label, g.n))
+    return FlowResult(value, _cut_from_reach(reached, g.n))
 
 
 # the name the per-layer tracer of perfbench/ hooks

@@ -65,8 +65,10 @@ def _removal_profile(g: Graph, smask: int):
     """
     adj = g.adj
     n = g.n
-    alive = ((1 << n) - 1) & ~smask
+    # masked vertices read as visited, discovered after every other vertex
     disc = [0] * n  # 0: not visited yet
+    for v in mask_to_set(smask):
+        disc[v] = n + 1
     low = [0] * n
     sub = [0] * n
     pieces: List[List[int]] = [[] for _ in range(n)]
@@ -74,7 +76,7 @@ def _removal_profile(g: Graph, smask: int):
     comps: List[int] = []
     roots = 0
     timer = 1
-    rest = alive
+    rest = ((1 << n) - 1) & ~smask
     while rest:
         root = _lowest_bit(rest).bit_length() - 1
         roots |= 1 << root
@@ -85,26 +87,27 @@ def _removal_profile(g: Graph, smask: int):
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
+            low_v = low[v]
             for u in it:
-                if not (alive >> u) & 1:
-                    continue
-                if not disc[u]:
+                disc_u = disc[u]
+                if not disc_u:
+                    low[v] = low_v
                     disc[u] = low[u] = timer
                     timer += 1
                     sub[u] = 1 << u
                     comp_of[u] = len(comps)
                     stack.append((u, v, iter(adj[u])))
                     break
-                if u != parent and disc[u] < low[v]:
-                    low[v] = disc[u]
+                if disc_u < low_v and u != parent:
+                    low_v = disc_u
             else:
                 stack.pop()
                 if parent != -1:
                     sub[parent] |= sub[v]
-                    if low[v] >= disc[parent]:
+                    if low_v >= disc[parent]:
                         pieces[parent].append(sub[v])
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                    if low_v < low[parent]:
+                        low[parent] = low_v
         rest &= ~sub[root]
         comps.append(sub[root])
     # a non-root vertex also leaves the part of its tree that holds the
@@ -186,7 +189,8 @@ def _sweep_passes(n: int, k: int) -> int:
     """DFS passes that _disconnecting_separators makes when read to the
     end with nothing skipped, on n vertices: one removal profile per
     prefix of a profiled size, one component search per candidate of a
-    larger size."""
+    larger size. check_unbreakable weighs the core strategy against this
+    full count; the sweep's guard counts _pruned_passes."""
     return sum(
         math.comb(n, s) for s in range(min(k, _PROFILED_SIZES))
     ) + sum(
@@ -194,13 +198,37 @@ def _sweep_passes(n: int, k: int) -> int:
     )
 
 
-def _sweep_allowed(g: Graph, wlen: int, k: int) -> bool:
+def _pruned_passes(n: int, k: int, wlen: int, need: int) -> int:
+    """At most the DFS passes that _disconnecting_separators(g, k, w,
+    need) makes when read to the end, on n vertices with |w| = wlen: one
+    component search for the empty separator when need <= 0, one removal
+    profile per prefix of a profiled size with at least need - 1
+    w-vertices, one component search per candidate of a larger size with
+    at least need."""
+
+    def sets(size: int, least: int) -> int:
+        """Vertex sets of this size with at least `least` w-vertices."""
+        return sum(
+            math.comb(wlen, j) * math.comb(n - wlen, size - j)
+            for j in range(max(least, 0), size + 1)
+        )
+
+    return (need <= 0 <= k) + sum(
+        sets(s - 1, need - 1)
+        for s in range(max(need, 1), min(k, _PROFILED_SIZES) + 1)
+    ) + sum(
+        sets(s, need) for s in range(max(need, _PROFILED_SIZES + 1), min(k, n) + 1)
+    )
+
+
+def _sweep_allowed(g: Graph, wlen: int, k: int, need: int) -> bool:
     """The sweep's guard: at most config.SEPARATOR_SWEEP_LIMIT DFS passes
-    for a full sweep, or a set w of at most config.UNBREAKABLE_ENUM_LIMIT
+    for the sweep that skips separators with fewer than `need` w-vertices
+    (_pruned_passes), or a set w of at most config.UNBREAKABLE_ENUM_LIMIT
     vertices, which the sweep always checks, whatever its passes."""
     return (
         wlen <= config.UNBREAKABLE_ENUM_LIMIT
-        or _sweep_passes(g.n, k) <= config.SEPARATOR_SWEEP_LIMIT
+        or _pruned_passes(g.n, k, wlen, need) <= config.SEPARATOR_SWEEP_LIMIT
     )
 
 
@@ -221,10 +249,11 @@ def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
     need = _need(len(wset), q, k)
     if need is None:
         return UNBREAKABLE
-    if not _sweep_allowed(g, len(wset), k):
+    if not _sweep_allowed(g, len(wset), k, need):
         raise SizeGuardError(
-            f"n={g.n}, k={k} needs {_sweep_passes(g.n, k)} separator-sweep "
-            f"passes, over the limit {config.SEPARATOR_SWEEP_LIMIT}, and "
+            f"n={g.n}, k={k} needs {_pruned_passes(g.n, k, len(wset), need)} "
+            f"separator-sweep passes, over the limit "
+            f"{config.SEPARATOR_SWEEP_LIMIT}, and "
             f"|w| = {len(wset)} exceeds the small-set limit "
             f"{config.UNBREAKABLE_ENUM_LIMIT}"
         )
@@ -453,7 +482,8 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     larger, whose padded cut A already reaches.
     """
     wset = sorted(set(w))
-    if _need(len(wset), q, k) is None:
+    need = _need(len(wset), q, k)
+    if need is None:
         return UNBREAKABLE
     if (
         q >= k
@@ -461,7 +491,7 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
         and (
             (k + 1) * (math.comb(len(wset), 2) + len(wset))
             < _sweep_passes(g.n, k)
-            or not _sweep_allowed(g, len(wset), k)
+            or not _sweep_allowed(g, len(wset), k, need)
         )
     ):
         verdict = _check_by_core(g, wset, q, k)

@@ -428,15 +428,27 @@ def test_witness_cover_q_set_within_the_flow_bound():
                 assert flow.value != EXCEEDS_BOUND, (seed, k_prime, t)
 
 
-def whole_family_q_set(ctx, rng):
-    """q_set of a witness cover that runs every color function of its
-    family, with no stop."""
+def one_shot_cover(ctx, rng, stop=True):
+    """witness_cover with each color function's graph extended from g in
+    one shot, the super sinks first and the super source after them. With
+    stop=False every color function of the family runs."""
     g, k_prime = ctx.g, ctx.k_prime
+    if ctx.x_set == ctx.t_set:
+        return frozenset(), []
     h, ids = ctx.torso_graph()
     pos = {v: i for i, v in enumerate(ids)}
     family = color_family(len(ids), k_prime + 1, k_prime, 2 * k_prime ** 3, g.n, rng)
+    cg = unit_capacities(g)
+    untested = iter(sorted(ctx.t_set - ctx.x_set))
+    pending = None
+    kept = []
     q_set = set()
     for f in family:
+        if stop and ctx.x_set and (pending is None or pending in q_set):
+            pending = next((t for t in untested if t not in q_set
+                            and carving._within_cut_bound(cg, t, ctx)), None)
+            if pending is None:
+                break
         color1 = [local for local in range(len(ids)) if f[local] == 1]
         if not color1:
             continue
@@ -457,11 +469,23 @@ def whole_family_q_set(ctx, rng):
             with_new_vertices(g, attach, caps), g.n + len(comps), sinks, k_prime, rng
         )
         for coll in cover.collections:
-            for c in coll:
-                cut = VertexCut(c.L & frozenset(range(g.n)), c.R & frozenset(range(g.n)))
-                if cut.is_valid(g) and is_witness(ctx, cut):
-                    q_set |= cut.left_only & ctx.t_set
-    return frozenset(q_set)
+            cuts = (VertexCut(c.L & frozenset(range(g.n)), c.R & frozenset(range(g.n)))
+                    for c in coll)
+            mapped = [c for c in cuts if c.is_valid(g) and is_witness(ctx, c)]
+            if mapped:
+                kept.append(mapped)
+                q_set.update(t for cut in mapped for t in cut.left_only & ctx.t_set)
+    best_raw = max(
+        kept, key=lambda coll: sum(len(c.left_only & ctx.t_set) for c in coll), default=[]
+    )
+    merged = list(best_raw)
+    for coll in kept:
+        if coll is not best_raw:
+            merged += [c for c in coll if all(
+                carving.ordered_disjoint(c, o) and carving.ordered_disjoint(o, c)
+                for o in merged
+            )]
+    return frozenset(q_set), make_lean(ctx, merged) if merged else []
 
 
 def test_witness_cover_matches_the_whole_family():
@@ -470,7 +494,20 @@ def test_witness_cover_matches_the_whole_family():
         for k_prime in (1, 2, 3):
             ctx = WitnessContext(g, range(g.n), x, k_prime)
             q_set, _ = witness_cover(ctx, random.Random(seed))
-            assert q_set == whole_family_q_set(ctx, random.Random(seed)), (seed, k_prime)
+            whole, _ = one_shot_cover(ctx, random.Random(seed), stop=False)
+            assert q_set == whole, (seed, k_prime)
+
+
+def test_witness_cover_matches_a_one_shot_extension():
+    """Building the super source once per cover, at id g.n, changes no
+    output and no rng draw: the super vertices never reach the output."""
+    for seed in range(40):
+        g, x = witness_cover_instance(seed)
+        for k_prime in (1, 2, 3):
+            ctx = WitnessContext(g, range(g.n), x, k_prime)
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert witness_cover(ctx, ours) == one_shot_cover(ctx, ref), (seed, k_prime)
+            assert ours.getstate() == ref.getstate(), (seed, k_prime)
 
 
 def test_witness_cover_stops_when_no_terminal_can_be_cut_off(monkeypatch):

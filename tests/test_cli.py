@@ -102,9 +102,10 @@ def test_verify_verb_accepts_and_rejects(gnp_file, tmp_path, capsys):
 
 
 def test_verify_reports_skipped_bags(tmp_path, capsys):
-    # at k = 4 the root bag of this G(60, 0.08) graph needs 523,686 sweep
-    # candidates, over the separator sweep's limit; the other bags are
-    # checked, so the verdict stays OK and exit 0, with one stderr line
+    # at k = 4 the root bag of this G(60, 0.08) graph (|w| = 41, q = 20,
+    # so every separator needs one w-vertex) costs the pruned sweep up to
+    # 485,590 DFS passes, over its limit; the other bags are checked, so
+    # the verdict stays OK and exit 0, with one stderr line
     code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
                        "--prob", "0.08", "--seed", "0")
     graph = write_graph(tmp_path, "g60.txt", out)

@@ -46,7 +46,7 @@ def test_path_witness():
 
 def test_size_guard():
     # |w| = 60 is over the small-set limit, no vertex has degree above k
-    # for the core strategy, and the sweep would make 5,950,978 DFS passes
+    # for the core strategy, and the sweep would make 5,950,979 DFS passes
     g = path_graph(60)
     with pytest.raises(SizeGuardError):
         check_unbreakable(g, range(60), 5, 5)
@@ -106,6 +106,54 @@ def test_pruned_sweep_yields_the_filtered_sweep():
         assert list(_disconnecting_separators(g, k, wmask, need)) == expected, (
             seed, g.edges(), k, wmask, need
         )
+    assert pruned > 0
+
+
+def test_removal_profile_matches_components_masks():
+    # the components of g minus the mask, and how many removing one more
+    # live vertex leaves, with a few vertices masked or none
+    from qktree.origin import _removal_profile
+
+    for seed in range(400):
+        rng = random.Random(500000 + seed)
+        g = gnp(rng.randint(1, 16), rng.uniform(0.05, 0.5), 500000 + seed)
+        smask = set_to_mask(rng.sample(range(g.n), rng.randint(0, min(3, g.n))))
+        comps, _comp_of, _pieces, count = _removal_profile(g, smask)
+        assert comps == components_masks(g, smask), (seed, smask)
+        for w in range(g.n):
+            if not (smask >> w) & 1:
+                assert count[w] == len(components_masks(g, smask | 1 << w)), (
+                    seed, smask, w
+                )
+
+
+def test_pruned_passes_bound_the_sweep(monkeypatch):
+    # _pruned_passes is at least the DFS passes (removal profiles plus
+    # component searches) of a sweep read to the end, for every need
+    import qktree.origin as origin
+
+    calls = []
+    for name in ("_removal_profile", "components_masks"):
+        fn = getattr(origin, name)
+        monkeypatch.setattr(
+            origin, name, lambda *args, fn=fn: calls.append(1) or fn(*args)
+        )
+    pruned = 0
+    for seed in range(200):
+        rng = random.Random(600000 + seed)
+        g = gnp(rng.randint(0, 11), rng.uniform(0.05, 0.6), 600000 + seed)
+        k = rng.randint(0, 5)
+        wlen = rng.randint(0, g.n)
+        wmask = set_to_mask(rng.sample(range(g.n), wlen))
+        need = rng.randint(-1, k + 1)
+        calls.clear()
+        for _ in origin._disconnecting_separators(g, k, wmask, need):
+            pass
+        bound = origin._pruned_passes(g.n, k, wlen, need)
+        assert len(calls) <= bound, (seed, g.n, k, wlen, need)
+        if need <= 0:
+            assert bound == origin._sweep_passes(g.n, k) + 1
+        pruned += bound < origin._sweep_passes(g.n, k)
     assert pruned > 0
 
 
