@@ -46,6 +46,39 @@ def _submasks(m: int) -> List[int]:
         s = (s - 1) & m
 
 
+def _crossing_sets(
+    nb: int, units: Sequence[Tuple[int, ...]], k: int
+) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every set of at most k crossing units (tuples of the vertices 0..nb-1)
+    in which each crossing unit separates its own vertices once all other
+    units are merged, as (sorted unit indices, component of each vertex,
+    named by its smallest vertex), ordered by size, then lexicographically.
+
+    An iterative walk merges or breaks each unit in index order. A unit
+    already inside one component is never broken, and a merge that leaves a
+    broken unit inside one component ends its branch: merges only grow
+    components, so that unit could never separate its vertices."""
+    kept = []
+    stack = [(0, (), tuple(range(nb)))]
+    while stack:
+        i, broken, label = stack.pop()
+        if i == len(units):
+            kept.append((len(broken), broken, label))
+            continue
+        roots = {label[v] for v in units[i]}
+        if len(roots) == 1:
+            stack.append((i + 1, broken, label))
+            continue
+        if len(broken) < k:
+            stack.append((i + 1, broken + (i,), label))
+        low = min(roots)
+        label = tuple([low if c in roots else c for c in label])
+        if all(len({label[v] for v in units[b]}) > 1 for b in broken):
+            stack.append((i + 1, broken, label))
+    kept.sort()
+    return [(broken, label) for _, broken, label in kept]
+
+
 class _Node:
     """Precomputed per-node bag structure used by both entry regimes."""
 
@@ -230,67 +263,44 @@ class PwayCutSolver:
     # ---- exact regime ---------------------------------------------------
 
     def _node_shapes(self, t: int) -> List[tuple]:
-        """The crossing shapes of node t, built on first use: one per set of
-        at most k crossing units in which every crossing unit separates its
-        own vertices. A shape is (component of each adhesion vertex,
-        component count, sorted components whose color matters: ends of
-        crossing edges and child-adhesion components, crossing edges as
-        component pairs, components of each child adhesion); components are
-        numbered by their smallest bag vertex."""
+        """The crossing shapes of node t, built on first use, one per set of
+        `_crossing_sets` in its order, with components named by their
+        smallest bag vertex. A shape holds what does not depend on f: the
+        pairs of adhesion positions whose vertices share a component (their
+        colors must agree), each adhesion component with the position of f
+        that colors it, the other components whose color matters (ends of
+        crossing edges and child-adhesion components, sorted), the free count
+        (components left unconstrained, capped at p), the crossing edges as
+        component pairs and the components of each child adhesion."""
         shapes = self.shapes[t]
         if shapes is not None:
             return shapes
         info = self.info[t]
-        nb = len(info.bag)
-        units = info.units
         n_edges = len(info.cost_edges)
-        child_adh = [adh_l for _, adh_l in info.children]
-        shapes = []
-        parent: List[int] = []
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for r in range(min(self.k, len(units)) + 1):
-            for subset in combinations(range(len(units)), r):
-                parent = list(range(nb))
-                broken = set(subset)
-                for ui, verts in enumerate(units):
-                    if ui not in broken:
-                        a = find(verts[0])
-                        for b in verts[1:]:
-                            parent[find(b)] = a
-                comp_of = [0] * nb
-                comp_ids: Dict[int, int] = {}
-                for v in range(nb):
-                    comp_of[v] = comp_ids.setdefault(find(v), len(comp_ids))
-                # a crossing unit left inside one component separates nothing
-                if any(
-                    all(comp_of[x] == comp_of[units[ui][0]] for x in units[ui])
-                    for ui in subset
-                ):
-                    continue
-                broken_edges = tuple(
-                    (comp_of[units[ui][0]], comp_of[units[ui][1]])
-                    for ui in subset if ui < n_edges
-                )
-                coupled = {c for pair in broken_edges for c in pair}
-                child_comps = tuple(
-                    tuple(comp_of[l] for l in adh_l) for adh_l in child_adh
-                )
-                for comps in child_comps:
-                    coupled.update(comps)
-                shapes.append((
-                    tuple(comp_of[l] for l in info.adh_local),
-                    len(comp_ids),
-                    sorted(coupled),
-                    broken_edges,
-                    child_comps,
-                ))
-        self.shapes[t] = shapes
+        shapes = self.shapes[t] = []
+        for subset, comp_of in _crossing_sets(len(info.bag), info.units, self.k):
+            forced: Dict[int, int] = {}
+            ties = []
+            for i, l in enumerate(info.adh_local):
+                j = forced.setdefault(comp_of[l], i)
+                if j != i:
+                    ties.append((j, i))
+            broken_edges = tuple([
+                (comp_of[info.units[ui][0]], comp_of[info.units[ui][1]])
+                for ui in subset if ui < n_edges
+            ])
+            child_comps = tuple([
+                tuple([comp_of[l] for l in adh_l]) for _, adh_l in info.children
+            ])
+            coupled = {c for pair in broken_edges for c in pair}
+            for comps in child_comps:
+                coupled.update(comps)
+            enum_comps = [c for c in sorted(coupled) if c not in forced]
+            free = len(set(comp_of)) - len(forced) - len(enum_comps)
+            shapes.append((
+                ties, tuple(forced.items()), enum_comps, min(free, self.p),
+                broken_edges, child_comps,
+            ))
         return shapes
 
     def _exact_vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -299,17 +309,18 @@ class PwayCutSolver:
         components they leave, and all colorings constant on those
         components.
 
-        The crossing sets and the components they leave do not depend on f,
-        so they are built once per node (`_node_shapes`), as are the child
-        chains per restriction profile and count of free components
-        (`_chain`, which also gives the colors the bag leaves unrealized to
-        those components); per f only the adhesion conflict check and the
-        colorings remain. A set in which some crossing unit keeps all its
-        vertices in one component is skipped: the same set without that unit
-        leaves the same components, and each of its groups has the same bag
-        cost and profile and at least as many free components, so it matches
-        or beats the skipped group for every mask and the vector is
-        unchanged.
+        The crossing sets, the components they leave, which adhesion
+        positions must share a color and which components are forced,
+        enumerated or free do not depend on f, so they are built once per
+        node (`_node_shapes`), as are the child chains per restriction
+        profile and count of free components (`_chain`, which also gives the
+        colors the bag leaves unrealized to those components); per f only
+        the tie check (f[i] == f[j] for each tie) and the colorings remain.
+        A set in which some crossing unit keeps all its vertices in one
+        component is never built: the same set without that unit leaves the
+        same components, and each of its groups has the same bag cost and
+        profile and at least as many free components, so it matches or
+        beats the skipped group for every mask and the vector is unchanged.
 
         Every component meeting the adhesion takes a color of f, so a
         permutation of the colors f does not use (the free colors) maps the
@@ -318,8 +329,7 @@ class PwayCutSolver:
         that use the free colors in increasing order of first use are
         enumerated, and each mask then takes the minimum over its orbit:
         the masks with the same colors of f and as many free colors."""
-        info = self.info[t]
-        p, inf = self.p, self.inf
+        inf = self.inf
         fmask = 0
         for col in f:
             fmask |= 1 << (col - 1)
@@ -327,29 +337,20 @@ class PwayCutSolver:
         # (child restriction profile, realized mask, free slots) -> min cost
         groups: Dict[Tuple, int] = {}
 
-        for adh_comp, ncomp, coupled, broken_edges, child_comps in (
+        # every component read below is forced or enumerated first
+        color = [0] * len(self.info[t].bag)
+        for ties, forced, enum_comps, free, broken_edges, child_comps in (
             self._node_shapes(t)
         ):
-            forced_comp: Dict[int, int] = {}
-            conflict = False
-            for c, col in zip(adh_comp, f):
-                if forced_comp.setdefault(c, col) != col:
-                    conflict = True
-                    break
-            if conflict:
+            if any(f[i] != f[j] for i, j in ties):
                 continue
-
-            enum_comps = [c for c in coupled if c not in forced_comp]
-            free = min(ncomp - len(forced_comp) - len(enum_comps), p)
-            color = [0] * ncomp
-            base_realized = 0
-            for c, col in forced_comp.items():
-                color[c] = col
-                base_realized |= 1 << (col - 1)
+            for c, i in forced:
+                color[c] = f[i]
 
             # at most k crossing edges, so every coloring costs at most k
             for phi in self._colorings(len(enum_comps), fmask):
-                realized = base_realized
+                # the forced components realize exactly the colors of f
+                realized = fmask
                 for c, col in zip(enum_comps, phi):
                     color[c] = col
                     realized |= 1 << (col - 1)
@@ -357,9 +358,9 @@ class PwayCutSolver:
                 for ca, cb in broken_edges:
                     if color[ca] != color[cb]:
                         bagcost += 1
-                profile = tuple(
-                    tuple(color[c] for c in comps) for comps in child_comps
-                )
+                profile = tuple([
+                    tuple([color[c] for c in comps]) for comps in child_comps
+                ])
                 key = (profile, realized, free)
                 old = groups.get(key)
                 if old is None or bagcost < old:
@@ -551,10 +552,12 @@ def min_pway_cut(
         rng = random.Random(seed)
     deco, _report = decompose(g, k, epsilon, VARIANT_STANDARD, rng=rng, seed=seed)
     solver = PwayCutSolver(g, deco, p, k, epsilon, rng)
-    sys.setrecursionlimit(
-        max(sys.getrecursionlimit(), 6 * len(deco.nodes) + 1000)
-    )
-    cost = solver.entry(deco.root, (), solver.full)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 6 * len(deco.nodes) + 1000))
+    try:
+        cost = solver.entry(deco.root, (), solver.full)
+    finally:
+        sys.setrecursionlimit(limit)
     if cost <= k:
         return PwayResult(p, k, True, cost, seed)
     return PwayResult(p, k, False, None, seed)

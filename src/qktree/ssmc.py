@@ -88,11 +88,14 @@ def single_source_mincut_cover(
 ) -> Tuple[MincutCover, FrozenSet[int]]:
     """Mincut cover for all sinks within vertex connectivity k of the source.
 
-    Returns (cover, captured) where captured collects every sink t with
-    lambda(t, s) <= k (with high probability over the seeded rng). Every
-    stored cut is a t-s mincut for some captured sink t with t in L\\R; each
-    collection holds pairwise disjoint cuts and appears once. A level k'
-    below the size of every remaining sink's cuts draws no random number.
+    Returns (cover, captured) where captured collects the sinks t with
+    lambda(t, s) <= k. The error is one-sided: captured is a subset of
+    those sinks, since each captured sink lies in L\\R of a t-s cut of
+    capacity at most k, and such a sink is missed only when no sampled sink
+    set (drawn by the seeded rng) isolates it. Every stored cut is a t-s
+    mincut for some captured sink t with t in L\\R; each collection holds
+    pairwise disjoint cuts and appears once. A level k' below the size of
+    every remaining sink's cuts draws no random number.
     """
     g = cg.base
     sink_set = frozenset(sinks)

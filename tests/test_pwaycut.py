@@ -1,5 +1,7 @@
 import random
+import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -80,6 +82,18 @@ def test_input_validation():
     # rejected up front, before the shortcut that would call it infeasible
     with pytest.raises(ValueError, match="p must be at most 10"):
         min_pway_cut(path_graph(3), 11, 2)
+
+
+def test_recursion_limit_is_restored():
+    # from the default limit, which every call raises while its DP runs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        min_pway_cut(gnp(10, 0.4, 3), 3, 3, 1, rng=random.Random(0))
+        after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert after == 1000
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -275,6 +289,64 @@ def test_only_canonical_colorings_are_computed(monkeypatch):
     relabeled = [f for _t, f in solver.vectors if not is_canonical(f)]
     assert relabeled
     assert len(solver.vectors) == len(computed) + len(relabeled)
+
+
+def every_crossing_set(nb, units, k):
+    """The kept crossing sets by exhaustion: every set of at most k units in
+    `combinations` order by size, one union-find over all units per set,
+    dropping a set in which some crossing unit keeps its vertices in one
+    component; components are named by their smallest vertex."""
+    out = []
+    for r in range(min(k, len(units)) + 1):
+        for subset in combinations(range(len(units)), r):
+            parent = list(range(nb))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for ui, verts in enumerate(units):
+                if ui not in subset:
+                    for v in verts[1:]:
+                        parent[find(v)] = find(verts[0])
+            smallest = {}
+            for v in range(nb):
+                smallest.setdefault(find(v), v)
+            label = tuple(smallest[find(v)] for v in range(nb))
+            if any(len({label[v] for v in units[ui]}) == 1 for ui in subset):
+                continue
+            out.append((subset, label))
+    return out
+
+
+def test_node_shapes_match_every_crossing_set():
+    rng = random.Random(19)
+    dropped = 0
+    for _ in range(400):
+        nb = rng.randint(1, 9)
+        edges = [(a, b) for a, b in combinations(range(nb), 2)
+                 if rng.random() < 0.4]
+        # child adhesions of 2-3 vertices, after the edges as in _Node.units
+        adhesions = [
+            tuple(sorted(rng.sample(range(nb), rng.randint(2, min(3, nb)))))
+            for _ in range(rng.randint(0, 2) if nb >= 2 else 0)
+        ]
+        units = edges + adhesions
+        k = rng.randint(0, 5)
+        want = every_crossing_set(nb, units, k)
+        assert pwaycut._crossing_sets(nb, units, k) == want, (nb, units, k)
+        dropped += sum(
+            comb(len(units), r) for r in range(min(k, len(units)) + 1)
+        ) - len(want)
+    assert dropped, "no crossing set separated nothing"
+    # the shapes of a solved decomposition, one per kept set
+    _deco, solver = solved(gnp(11, 0.35, 40), 4, 4, 0)
+    built = [(info, shapes) for info, shapes in zip(solver.info, solver.shapes)
+             if shapes is not None]
+    assert any(len(adh_l) >= 2 for info, _ in built for _, adh_l in info.children)
+    for info, shapes in built:
+        assert len(shapes) == len(every_crossing_set(len(info.bag), info.units, 4))
 
 
 def test_entry_monotone_in_required_colors():

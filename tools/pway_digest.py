@@ -7,7 +7,10 @@ usage (from the repository root): python3 tools/pway_digest.py MODE [SRC]
            the DP runs from the rng state that leaves. Prints a sha256 over
            (index, root entry) and every (t, f) vector in solver.vectors
            order, the DP's seconds, and how many canonical colorings each
-           node computed by the exact regime serves.
+           node computed by the exact regime serves. A second, untimed pass
+           wraps PwayCutSolver._node_shapes to count the crossing sets the
+           exact regime keeps (a machine-independent count of its work) and
+           the seconds spent building them.
   coded    the coded regime forced (config.PWAY_EXACT_BAG_LIMIT = -1) on 48
            connected G(n, p') graphs, n 5-10, p' in [0.25, 0.5], times
            p 2-4 and k 1-3. Prints a sha256 over each answer, every (t, f)
@@ -62,17 +65,31 @@ if mode == "vectors":
             h.update(repr((key, vec)).encode())
     exact_fs = defaultdict(set)
     exact = pwaycut.PwayCutSolver._exact_vector
+    node_shapes = pwaycut.PwayCutSolver._node_shapes
+    shapes_s = [0.0]
+
+    def timed_shapes(s, t):
+        t0 = time.perf_counter()
+        out = node_shapes(s, t)
+        shapes_s[0] += time.perf_counter() - t0
+        return out
+
+    crossing_sets = 0
     for inst, deco, make in runs:
         s = make()
         s._exact_vector = lambda t, f, i=inst.index, s=s: (
             exact_fs[(i, t)].add(f) or exact(s, t, f))
+        s._node_shapes = lambda t, s=s: timed_shapes(s, t)
         s.entry(deco.root, (), s.full)
+        crossing_sets += sum(len(shapes) for shapes in s.shapes if shapes)
     hist = Counter(len(v) for v in exact_fs.values())
     print(json.dumps({
         "instances": len(runs), "digest": h.hexdigest(), "dp_s": round(dp_s, 3),
         "exact_nodes": len(exact_fs),
         "exact_vectors": sum(len(v) for v in exact_fs.values()),
         "canonical_f_per_node_histogram": dict(sorted(hist.items())),
+        "crossing_sets_kept": crossing_sets,
+        "node_shapes_s": round(shapes_s[0], 3),
     }))
 
 elif mode == "mem":
