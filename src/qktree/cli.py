@@ -212,6 +212,8 @@ def cmd_ssmc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k < 1:
+        raise ValueError("k must be at least 1")
     g = parse_edge_list(_read(args.graph))
     deco, variant, _seed = decomposition_from_json(_read(args.decomposition))
     if deco.n != g.n:

@@ -9,14 +9,14 @@ UNBREAKABLE_ENUM_LIMIT = 24
 
 # Largest number of DFS passes that the separator sweep of the
 # unbreakability check (and the verifier) makes for a larger set w. The
-# sweep skips separators with fewer than need = 2q + 2 - |w| w-vertices,
-# and its passes are counted with those skipped (origin._pruned_passes):
-# one per vertex set of size < min(k, 3) with at least need - 1
-# w-vertices, plus one per vertex set of each size 4..k with at least
-# need, plus one when need <= 0. With need <= 0 nothing is skipped, and at
-# the limit k = 3 reaches n = 446 and k = 4 reaches n = 40. On a 2-core
-# host a full sweep took 2.3-2.8 s at k = 4 with 195,757 passes (n = 48,
-# 90 edges), and 60 s at k = 3 with 80,201 passes (n = 400, m = 1.35 n).
+# sweep reads each separator size s off one DFS per prefix of size s - 1
+# and skips separators with fewer than need = 2q + 2 - |w| w-vertices; its
+# passes are counted with those skipped (origin._pruned_passes): one per
+# vertex set of size < k with at least need - 1 w-vertices, plus one when
+# need <= 0. With need <= 0 nothing is skipped, and at the limit k = 3
+# reaches n = 446, k = 4 n = 84, k = 5 n = 39 and k = 6 n = 26. On a 2-core
+# host a full sweep took 9.9-10.0 s at k = 4 with 95,369 passes (n = 84,
+# m = 112), and 60 s at k = 3 with 80,202 passes (n = 400, m = 1.35 n).
 # Over the limit the core strategy runs where it applies; a check that no
 # strategy takes raises SizeGuardError.
 SEPARATOR_SWEEP_LIMIT = 100_000

@@ -135,25 +135,16 @@ def _components_without(profile, w: int) -> List[int]:
     return out
 
 
-# Separator sizes that _disconnecting_separators reads off removal
-# profiles; every larger candidate costs a component search of its own.
-_PROFILED_SIZES = 3
-
-
 def _disconnecting_separators(g: Graph, k: int, wmask: int, need: int):
     """Yields lazily every vertex set of size <= k that holds at least
     `need` vertices of wmask and whose removal leaves >= 2 components, as
     (mask, components), ascending by (size, lexicographic members); a
     caller that stops early pays only for what it read.
 
-    Sizes 1.._PROFILED_SIZES are read off one DFS forest of the graph minus
-    each smaller prefix (its cut vertices, and the components they leave);
+    Each size is read off one DFS forest of the graph minus each prefix
+    one vertex smaller (its cut vertices, and the components they leave);
     a prefix short of need - 1 w-vertices gets none, and one at need - 1
-    takes only last vertices in w. Larger sizes use the plain sweep, which
-    counts a candidate's w-vertices before its component search: reading
-    size 4 off profiles of the size-3 prefixes made the enumeration about
-    30% slower on the p-way benchmark's graphs at k = 4 (1.04 s against
-    0.81 s per 30 instances, median of 3 runs on a 2-core host)."""
+    takes only last vertices in w."""
     if k < 0:
         return
     n = g.n
@@ -162,7 +153,7 @@ def _disconnecting_separators(g: Graph, k: int, wmask: int, need: int):
         base = components_masks(g, 0)
         if len(base) >= 2:
             yield 0, base
-    for size in range(max(need, 1), min(k, _PROFILED_SIZES) + 1):
+    for size in range(max(need, 1), min(k, n) + 1):
         for prefix in combinations(range(n), size - 1):
             pmask = set_to_mask(prefix)
             start = pmask.bit_length()
@@ -175,49 +166,18 @@ def _disconnecting_separators(g: Graph, k: int, wmask: int, need: int):
             for w in range(start, n):
                 if count[w] >= 2 and (lasts >> w) & 1:
                     yield pmask | 1 << w, _components_without(profile, w)
-    for size in range(max(need, _PROFILED_SIZES + 1), min(k, n) + 1):
-        for sep in combinations(range(n), size):
-            smask = set_to_mask(sep)
-            if bin(smask & wmask).count("1") < need:
-                continue
-            comps = components_masks(g, smask)
-            if len(comps) >= 2:
-                yield smask, comps
-
-
-def _sweep_passes(n: int, k: int) -> int:
-    """DFS passes that _disconnecting_separators makes when read to the
-    end with nothing skipped, on n vertices: one removal profile per
-    prefix of a profiled size, one component search per candidate of a
-    larger size. check_unbreakable weighs the core strategy against this
-    full count; the sweep's guard counts _pruned_passes."""
-    return sum(
-        math.comb(n, s) for s in range(min(k, _PROFILED_SIZES))
-    ) + sum(
-        math.comb(n, s) for s in range(_PROFILED_SIZES + 1, min(k, n) + 1)
-    )
 
 
 def _pruned_passes(n: int, k: int, wlen: int, need: int) -> int:
     """At most the DFS passes that _disconnecting_separators(g, k, w,
     need) makes when read to the end, on n vertices with |w| = wlen: one
-    component search for the empty separator when need <= 0, one removal
-    profile per prefix of a profiled size with at least need - 1
-    w-vertices, one component search per candidate of a larger size with
-    at least need."""
-
-    def sets(size: int, least: int) -> int:
-        """Vertex sets of this size with at least `least` w-vertices."""
-        return sum(
-            math.comb(wlen, j) * math.comb(n - wlen, size - j)
-            for j in range(max(least, 0), size + 1)
-        )
-
+    component search for the empty separator when need <= 0, and one
+    removal profile per prefix of size < k with at least need - 1
+    w-vertices."""
     return (need <= 0 <= k) + sum(
-        sets(s - 1, need - 1)
-        for s in range(max(need, 1), min(k, _PROFILED_SIZES) + 1)
-    ) + sum(
-        sets(s, need) for s in range(max(need, _PROFILED_SIZES + 1), min(k, n) + 1)
+        math.comb(wlen, j) * math.comb(n - wlen, s - 1 - j)
+        for s in range(max(need, 1), min(k, n) + 1)
+        for j in range(max(need - 1, 0), s)
     )
 
 
@@ -448,9 +408,10 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
 
     A set w too small for any witness is unbreakable at once. Otherwise
     the core strategy runs when its estimate, (k+1)(C(|w|,2) + |w|)
-    searches, is under a full sweep's DFS passes or the sweep's guard
-    refuses, and else the sweep; the sweep also answers where the core
-    strategy does not apply. The verifier runs the sweep alone.
+    searches, is under the sweep's DFS passes (_pruned_passes) or the
+    sweep's guard refuses, and else the sweep; the sweep also answers
+    where the core strategy does not apply. The verifier runs the sweep
+    alone.
 
     The core strategy picks, greedily by degree, a core C of w-vertices of
     degree > k: k + 1 hubs that are pairwise linked (adjacent, or not
@@ -490,7 +451,7 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
         and sum(len(g.adj[v]) > k for v in wset) > q
         and (
             (k + 1) * (math.comb(len(wset), 2) + len(wset))
-            < _sweep_passes(g.n, k)
+            < _pruned_passes(g.n, k, len(wset), need)
             or not _sweep_allowed(g, len(wset), k, need)
         )
     ):

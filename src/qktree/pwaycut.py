@@ -542,6 +542,8 @@ def min_pway_cut(
         raise ValueError(f"p must be at most {config.PWAY_P_LIMIT}")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not 0 < epsilon <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
     ncomp = len(connected_components(g))
     if ncomp >= p:
         return PwayResult(p, k, True, 0, seed)

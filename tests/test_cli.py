@@ -102,23 +102,35 @@ def test_verify_verb_accepts_and_rejects(gnp_file, tmp_path, capsys):
 
 
 def test_verify_reports_skipped_bags(tmp_path, capsys):
-    # at k = 4 the root bag of this G(60, 0.08) graph (|w| = 41, q = 20,
-    # so every separator needs one w-vertex) costs the pruned sweep up to
-    # 485,590 DFS passes, over its limit; the other bags are checked, so
-    # the verdict stays OK and exit 0, with one stderr line
-    code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
-                       "--prob", "0.08", "--seed", "0")
-    graph = write_graph(tmp_path, "g60.txt", out)
+    # at k = 4 the root bag of this G(100, 0.05) graph (|w| = 64, q = 20,
+    # so no separator is skipped) costs the sweep 166,752 DFS passes, over
+    # its limit; the other bags are checked, so the verdict stays OK and
+    # exit 0, with one stderr line
+    code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "100",
+                       "--prob", "0.05", "--seed", "0")
+    graph = write_graph(tmp_path, "g100.txt", out)
     code, deco_json, err = run(capsys, "decompose", graph, "--k", "4",
                                "--seed", "1", "--verify")
     assert code == 0 and err.startswith("warning: 1 of ")
     deco = write_graph(tmp_path, "deco.json", deco_json)
     code, out, err = run(capsys, "verify", graph, deco, "--k", "4")
     assert code == 0 and out == "OK\n"
-    assert err.startswith("warning: 1 of ") and err.count("\n") == 1
-    assert err.endswith(
-        " bags not checked (over the separator sweep's limit): 0\n"
+    assert err == (
+        "warning: 1 of 35 bags not checked (over the separator sweep's "
+        "limit): 0\n"
     )
+
+
+def test_verify_checks_every_bag_at_k_four(tmp_path, capsys):
+    # the root bag of this G(60, 0.08) graph at k = 4 (|w| = 41, q = 20, so
+    # every separator needs one w-vertex) costs the sweep at most 36,051
+    # DFS passes, under its limit: every bag is checked
+    code, out, _ = run(capsys, "gen", "--model", "gnp", "--n", "60",
+                       "--prob", "0.08", "--seed", "0")
+    graph = write_graph(tmp_path, "g60.txt", out)
+    code, _, err = run(capsys, "decompose", graph, "--k", "4", "--seed", "1",
+                       "--verify")
+    assert code == 0 and err == ""
 
 
 def test_pwaycut_with_oracle(gnp_file, capsys):
@@ -218,6 +230,18 @@ def test_verify_unknown_variant_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "verify", graph, deco, "--k", "1")
     assert code == 1 and out == ""
     assert "unknown variant 'BOGUS'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["-4", "0"])
+def test_verify_k_below_one_exits_one(k, tmp_path, capsys):
+    # the line decompose prints, not an adhesion bound of k's formula
+    graph, deco = decomposition_file(tmp_path, capsys, lambda d: None)
+    code, out, err = run(capsys, "verify", graph, deco, "--k", k)
+    assert_one_error_line(code, out, err)
+    assert err == "error: k must be at least 1\n"
+    code, out, err = run(capsys, "decompose", graph, "--k", k)
+    assert_one_error_line(code, out, err)
+    assert err == "error: k must be at least 1\n"
 
 
 def test_bench_default_model_exits_zero(capsys):

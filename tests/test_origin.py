@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -46,7 +47,7 @@ def test_path_witness():
 
 def test_size_guard():
     # |w| = 60 is over the small-set limit, no vertex has degree above k
-    # for the core strategy, and the sweep would make 5,950,979 DFS passes
+    # for the core strategy, and the sweep would make 523,687 DFS passes
     g = path_graph(60)
     with pytest.raises(SizeGuardError):
         check_unbreakable(g, range(60), 5, 5)
@@ -87,7 +88,8 @@ def test_matches_brute_oracle(block):
 def test_pruned_sweep_yields_the_filtered_sweep():
     # the sweep given w and need yields exactly the full sweep's separators
     # with at least need w-vertices, in the same order; k reaches 4 and 5,
-    # where the plain path runs, and need <= 0 prunes nothing
+    # so prefixes of size 3 and 4 are profiled too, and need <= 0 prunes
+    # nothing
     from qktree.origin import _disconnecting_separators
 
     pruned = 0
@@ -129,7 +131,9 @@ def test_removal_profile_matches_components_masks():
 
 def test_pruned_passes_bound_the_sweep(monkeypatch):
     # _pruned_passes is at least the DFS passes (removal profiles plus
-    # component searches) of a sweep read to the end, for every need
+    # component searches) of a sweep read to the end, for every need; with
+    # need <= 0 it is the unpruned count, one search for the empty set and
+    # one profile per prefix of size < k, and pruning lowers it
     import qktree.origin as origin
 
     calls = []
@@ -151,9 +155,10 @@ def test_pruned_passes_bound_the_sweep(monkeypatch):
             pass
         bound = origin._pruned_passes(g.n, k, wlen, need)
         assert len(calls) <= bound, (seed, g.n, k, wlen, need)
+        unpruned = 1 + sum(math.comb(g.n, s) for s in range(min(k, g.n)))
         if need <= 0:
-            assert bound == origin._sweep_passes(g.n, k) + 1
-        pruned += bound < origin._sweep_passes(g.n, k)
+            assert bound == unpruned
+        pruned += bound < unpruned
     assert pruned > 0
 
 
@@ -181,9 +186,11 @@ def test_disconnecting_separators_match_brute_force():
     # every vertex set of size <= k whose removal leaves >= 2 components,
     # with those components, in (size, lexicographic) order; sparse draws
     # give disconnected graphs, where the empty set and cut vertices of
-    # each component count too
+    # each component count too; separators of sizes 4 and 5 are among
+    # those compared
     from qktree.origin import _disconnecting_separators
 
+    sizes = set()
     for seed in range(600):
         rng = random.Random(seed)
         g = gnp(rng.randint(0, 14), rng.uniform(0.05, 0.6), seed)
@@ -194,9 +201,11 @@ def test_disconnecting_separators_match_brute_force():
                 comps = components_masks(g, set_to_mask(sep))
                 if len(comps) >= 2:
                     expected.append((set_to_mask(sep), comps))
+                    sizes.add(size)
         assert list(_disconnecting_separators(g, k, 0, 0)) == expected, (
             seed, g.edges(), k
         )
+    assert {4, 5} <= sizes, sizes
 
 
 def test_sweep_stops_at_the_first_split(monkeypatch):

@@ -82,6 +82,11 @@ def test_input_validation():
     # rejected up front, before the shortcut that would call it infeasible
     with pytest.raises(ValueError, match="p must be at most 10"):
         min_pway_cut(path_graph(3), 11, 2)
+    # epsilon too, before the shortcuts for disconnected graphs
+    for g in (Graph(4, [(0, 1), (2, 3)]), path_graph(4)):
+        for eps in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="epsilon must be in"):
+                min_pway_cut(g, 2, 1, epsilon=eps)
 
 
 def test_recursion_limit_is_restored():
