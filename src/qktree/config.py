@@ -49,9 +49,11 @@ C_FAM = 2
 # coverage; later covers draw afresh and the verifier catches bad bags.
 FAMILY_SIZE_LIMIT = 32
 
-# p-way cut: bags at most this large (and with a bounded crossing-set
-# enumeration) get exact table entries via bounded-crossing enumeration;
-# larger bags fall back to color coding plus the component-flip DP.
+# p-way cut regime choice: a bag of at most PWAY_EXACT_BAG_LIMIT vertices
+# whose sets of at most k units (bag edges and multi-vertex child
+# adhesions) number at most PWAY_EXACT_SUBSET_LIMIT goes exact (a pruned
+# search over its colorings); any other bag goes to color coding plus the
+# component-flip DP. The subset count only selects the regime.
 PWAY_EXACT_BAG_LIMIT = 16
 PWAY_EXACT_SUBSET_LIMIT = 200_000
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,43 +46,12 @@ def _submasks(m: int) -> List[int]:
         s = (s - 1) & m
 
 
-def _crossing_sets(
-    nb: int, units: Sequence[Tuple[int, ...]], k: int
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Every set of at most k crossing units (tuples of the vertices 0..nb-1)
-    in which each crossing unit separates its own vertices once all other
-    units are merged, as (sorted unit indices, component of each vertex,
-    named by its smallest vertex), ordered by size, then lexicographically.
-
-    An iterative walk merges or breaks each unit in index order. A unit
-    already inside one component is never broken, and a merge that leaves a
-    broken unit inside one component ends its branch: merges only grow
-    components, so that unit could never separate its vertices."""
-    kept = []
-    stack = [(0, (), tuple(range(nb)))]
-    while stack:
-        i, broken, label = stack.pop()
-        if i == len(units):
-            kept.append((len(broken), broken, label))
-            continue
-        roots = {label[v] for v in units[i]}
-        if len(roots) == 1:
-            stack.append((i + 1, broken, label))
-            continue
-        if len(broken) < k:
-            stack.append((i + 1, broken + (i,), label))
-        low = min(roots)
-        label = tuple([low if c in roots else c for c in label])
-        if all(len({label[v] for v in units[b]}) > 1 for b in broken):
-            stack.append((i + 1, broken, label))
-    kept.sort()
-    return [(broken, label) for _, broken, label in kept]
-
-
 class _Node:
-    """Precomputed per-node bag structure used by both entry regimes."""
+    """Precomputed per-node bag structure used by both entry regimes, and
+    the exact regime's search plans, which do not depend on f."""
 
-    __slots__ = ("bag", "adh_local", "children", "cost_edges", "units")
+    __slots__ = ("bag", "adh_local", "children", "cost_edges", "units",
+                 "spans", "plan", "loose")
 
     def __init__(self, g: Graph, deco: RootedTreeDecomposition, t: int):
         self.bag: Tuple[int, ...] = tuple(sorted(deco.bag(t)))
@@ -99,16 +68,59 @@ class _Node:
         ]
         # children as (child id, local indices inside this bag of the
         # child's adhesion, in sorted order)
-        self.children: List[Tuple[int, Tuple[int, ...]]] = []
-        for c in deco.nodes[t].children:
-            c_adh = tuple(sorted(deco.adhesion_set(c)))
-            self.children.append((c, tuple(pos[v] for v in c_adh)))
-        # breakable units as vertex tuples, bag edges first, then the
-        # multi-vertex child adhesions; a coloring of cost <= k crosses at
-        # most k of them in total
-        self.units: List[Tuple[int, ...]] = list(self.cost_edges) + [
-            adh_l for _, adh_l in self.children if len(adh_l) >= 2
-        ]
+        self.children: List[Tuple[int, Tuple[int, ...]]] = [
+            (c, tuple(pos[v] for v in sorted(deco.adhesion_set(c))))
+            for c in deco.nodes[t].children]
+        # breakable units: the bag edges and the multi-vertex child
+        # adhesions; a coloring of cost <= k crosses at most k of them
+        splittable = [adh_l for _, adh_l in self.children if len(adh_l) >= 2]
+        self.units = len(self.cost_edges) + len(splittable)
+        # the child adhesions in one row, and each child's slice of it
+        flat = tuple(l for _, adh_l in self.children for l in adh_l)
+        ends = list(accumulate([len(adh_l) for _, adh_l in self.children],
+                               initial=0))
+        self.spans = list(zip(ends, ends[1:]))
+        # the bag in parts: breadth-first from the adhesion over the cost
+        # edges, then breadth-first from each unreached vertex in turn, so
+        # that most vertices have a neighbour before them
+        nbrs: List[List[int]] = [[] for _ in self.bag]
+        for a, b in self.cost_edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        placed, parts = set(), []
+        for roots in [self.adh_local] + [(v,) for v in range(len(self.bag))]:
+            part = [v for v in roots if v not in placed]
+            placed.update(part)
+            for v in part:  # the loop reaches the vertices it appends
+                for u in nbrs[v]:
+                    if u not in placed:
+                        placed.add(u)
+                        part.append(u)
+            parts.append(part)
+        rank = {v: i for i, v in enumerate(v for part in parts for v in part)}
+
+        def plan(order, closing, flat):
+            # the vertices to color in order, the neighbours before each,
+            # per step the multi-vertex child adhesions it completes (step
+            # 0 colors the adhesion, step i + 1 order[i]), and `flat`
+            return (order, [tuple([u for u in nbrs[v] if rank[u] < rank[v]])
+                            for v in order], closing, flat)
+
+        # a later part that meets no child adhesion is a whole component of
+        # G, with a plan of its own
+        order = parts[0][len(self.adh_local):]
+        self.loose = []
+        for part in filter(None, parts[1:]):
+            if set(flat).isdisjoint(part):
+                self.loose.append(plan(part, [()] * (len(part) + 1), ()))
+            else:
+                order += part
+        step = dict.fromkeys(self.adh_local, 0)
+        step.update((v, i + 1) for i, v in enumerate(order))
+        closing: List[List[Tuple[int, ...]]] = [[] for _ in range(len(order) + 1)]
+        for adh_l in splittable:
+            closing[max(step[l] for l in adh_l)].append(adh_l)
+        self.plan = plan(order, closing, flat)
 
 
 class PwayCutSolver:
@@ -128,9 +140,9 @@ class PwayCutSolver:
     induction. So only the canonical coloring of each class is computed,
     the one whose colors are numbered by first occurrence in f ((3, 1, 3)
     becomes (1, 2, 1)); any other f is its canonical vector with the masks
-    permuted, stored under f's own key. Inside `_exact_vector` the same
-    symmetry, restricted to the colors f does not use, cuts the colorings
-    to enumerate."""
+    permuted, stored under f's own key. The exact regime's search
+    (`_search`) uses the same symmetry, restricted to the colors f does not
+    use, to color the bag up to a permutation of those colors."""
 
     def __init__(
         self, g: Graph, deco: RootedTreeDecomposition, p: int, k: int,
@@ -152,19 +164,11 @@ class PwayCutSolver:
         self.info = [_Node(g, deco, t) for t in range(len(deco.nodes))]
         self.submasks = [_submasks(m) for m in range(self.full + 1)]
         self.popcount = [bin(m).count("1") for m in range(self.full + 1)]
-        # absorb[free][m] is 0 when `free` unconstrained components can take
-        # the colors of m, else k+1; absorb[0] is the unit of `_merge`
-        self.absorb = [
-            tuple(0 if c <= free else self.inf for c in self.popcount)
-            for free in range(p + 1)
-        ]
-        # per node, built on first use by the exact regime
-        self.shapes: List[Optional[List[tuple]]] = [None] * len(self.info)
-        # per node, (profile prefix, free) -> `_chain` vector
-        self.chains: List[Dict[Tuple, Tuple[int, ...]]] = [
-            {((), 0): self.absorb[0]} for _ in self.info]
-        # (components, colors of f as a mask) -> colorings up to free colors
-        self.colorings: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+        # the unit of `_merge`: nothing required costs 0
+        self.unit = (0,) + (self.inf,) * self.full
+        # per node, profile prefix -> `_chain` vector, once it goes exact
+        self.chains: List[Optional[Dict[Tuple, Tuple[int, ...]]]] = [
+            None] * len(self.info)
         # per node, the flip DP's auxiliary graph, built on first use
         self.aux: Dict[int, Graph] = {}
 
@@ -209,12 +213,9 @@ class PwayCutSolver:
 
     def _compute_vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
         info = self.info[t]
-        units = len(info.units)
-        subsets = sum(comb(units, i) for i in range(min(self.k, units) + 1))
-        if (
-            len(info.bag) <= config.PWAY_EXACT_BAG_LIMIT
-            and subsets <= config.PWAY_EXACT_SUBSET_LIMIT
-        ):
+        subsets = sum(comb(info.units, i) for i in range(min(self.k, info.units) + 1))
+        if (len(info.bag) <= config.PWAY_EXACT_BAG_LIMIT
+                and subsets <= config.PWAY_EXACT_SUBSET_LIMIT):
             return self._exact_vector(t, f)
         return self._coded_vector(t, f)
 
@@ -238,139 +239,55 @@ class PwayCutSolver:
             out.append(best)
         return out
 
-    def _chain(self, t: int, profile: tuple, free: int) -> Tuple[int, ...]:
+    def _chain(self, t: int, profile: tuple) -> Tuple[int, ...]:
         """Minimum total cost of node t's first len(profile) children per
-        required-color mask, child i with adhesion coloring profile[i] and
-        `free` unconstrained bag components each realizing one color; the
+        required-color mask, child i with adhesion coloring profile[i]; the
         fold starts from the longest memoized prefix and memoizes each
         longer one, so a node with many children needs no deep recursion."""
         chains = self.chains[t]
-        d = chains.get((profile, free))
-        if d is None and free:
-            d = self._merge(self.absorb[free], self._chain(t, profile, 0))
-            d = chains[(profile, free)] = tuple(d)
-        elif d is None:
+        d = chains.get(profile)
+        if d is None:
             done = len(profile) - 1
-            while (profile[:done], 0) not in chains:
+            while profile[:done] not in chains:
                 done -= 1
-            d = chains[(profile[:done], 0)]
+            d = chains[profile[:done]]
             for i in range(done, len(profile)):
                 c = self.info[t].children[i][0]
                 d = self._merge(self.vector(c, profile[i]), d)
-                d = chains[(profile[:i + 1], 0)] = tuple(d)
+                d = chains[profile[:i + 1]] = tuple(d)
         return d
 
     # ---- exact regime ---------------------------------------------------
 
-    def _node_shapes(self, t: int) -> List[tuple]:
-        """The crossing shapes of node t, built on first use, one per set of
-        `_crossing_sets` in its order, with components named by their
-        smallest bag vertex. A shape holds what does not depend on f: the
-        pairs of adhesion positions whose vertices share a component (their
-        colors must agree), each adhesion component with the position of f
-        that colors it, the other components whose color matters (ends of
-        crossing edges and child-adhesion components, sorted), the free count
-        (components left unconstrained, capped at p), the crossing edges as
-        component pairs and the components of each child adhesion."""
-        shapes = self.shapes[t]
-        if shapes is not None:
-            return shapes
-        info = self.info[t]
-        n_edges = len(info.cost_edges)
-        shapes = self.shapes[t] = []
-        for subset, comp_of in _crossing_sets(len(info.bag), info.units, self.k):
-            forced: Dict[int, int] = {}
-            ties = []
-            for i, l in enumerate(info.adh_local):
-                j = forced.setdefault(comp_of[l], i)
-                if j != i:
-                    ties.append((j, i))
-            broken_edges = tuple([
-                (comp_of[info.units[ui][0]], comp_of[info.units[ui][1]])
-                for ui in subset if ui < n_edges
-            ])
-            child_comps = tuple([
-                tuple([comp_of[l] for l in adh_l]) for _, adh_l in info.children
-            ])
-            coupled = {c for pair in broken_edges for c in pair}
-            for comps in child_comps:
-                coupled.update(comps)
-            enum_comps = [c for c in sorted(coupled) if c not in forced]
-            free = len(set(comp_of)) - len(forced) - len(enum_comps)
-            shapes.append((
-                ties, tuple(forced.items()), enum_comps, min(free, self.p),
-                broken_edges, child_comps,
-            ))
-        return shapes
-
     def _exact_vector(self, t: int, f: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Exact M[t, f, .] by enumerating every possible set of crossing
-        bag edges and crossing child adhesions (at most k of them), the
-        components they leave, and all colorings constant on those
-        components.
-
-        The crossing sets, the components they leave, which adhesion
-        positions must share a color and which components are forced,
-        enumerated or free do not depend on f, so they are built once per
-        node (`_node_shapes`), as are the child chains per restriction
-        profile and count of free components (`_chain`, which also gives the
-        colors the bag leaves unrealized to those components); per f only
-        the tie check (f[i] == f[j] for each tie) and the colorings remain.
-        A set in which some crossing unit keeps all its vertices in one
-        component is never built: the same set without that unit leaves the
-        same components, and each of its groups has the same bag cost and
-        profile and at least as many free components, so it matches or
-        beats the skipped group for every mask and the vector is unchanged.
-
-        Every component meeting the adhesion takes a color of f, so a
-        permutation of the colors f does not use (the free colors) maps the
-        colorings of one crossing set onto each other, with equal bag cost
-        and permuted profile, realized mask and chain. Only the colorings
-        that use the free colors in increasing order of first use are
-        enumerated, and each mask then takes the minimum over its orbit:
-        the masks with the same colors of f and as many free colors."""
-        inf = self.inf
+        """Exact M[t, f, .]: the adhesion colored by f, the rest of the bag
+        by `_search`, then per group of colorings the children's chain
+        (`_chain`, built after the search) folded in, and per mask the
+        minimum over its orbit (the masks with the same colors of f and as
+        many other colors), as the search keeps one coloring per orbit."""
+        info, inf = self.info[t], self.inf
+        color = [0] * len(info.bag)
         fmask = 0
-        for col in f:
+        for l, col in zip(info.adh_local, f):
+            color[l] = col
             fmask |= 1 << (col - 1)
-
-        # (child restriction profile, realized mask, free slots) -> min cost
-        groups: Dict[Tuple, int] = {}
-
-        # every component read below is forced or enumerated first
-        color = [0] * len(self.info[t].bag)
-        for ties, forced, enum_comps, free, broken_edges, child_comps in (
-            self._node_shapes(t)
-        ):
-            if any(f[i] != f[j] for i, j in ties):
-                continue
-            for c, i in forced:
-                color[c] = f[i]
-
-            # at most k crossing edges, so every coloring costs at most k
-            for phi in self._colorings(len(enum_comps), fmask):
-                # the forced components realize exactly the colors of f
-                realized = fmask
-                for c, col in zip(enum_comps, phi):
-                    color[c] = col
-                    realized |= 1 << (col - 1)
-                bagcost = 0
-                for ca, cb in broken_edges:
-                    if color[ca] != color[cb]:
-                        bagcost += 1
-                profile = tuple([
-                    tuple([color[c] for c in comps]) for comps in child_comps
-                ])
-                key = (profile, realized, free)
-                old = groups.get(key)
-                if old is None or bagcost < old:
-                    groups[key] = bagcost
-
+        if self.chains[t] is None:
+            # the bag's whole components of G realize as many colors as they
+            # have color classes: most[j] is their cheapest coloring with j
+            # classes (p or more at p), and the node's chains start from it
+            p, count = self.p, self.popcount
+            most = [0] + [inf] * p
+            for plan in info.loose:
+                found = self._search(plan, color, 0).items()
+                most = [min([inf] + [
+                    most[j] + c for j in range(p + 1) for (_, got), c in found
+                    if min(j + count[got], p) == x]) for x in range(p + 1)]
+            self.chains[t] = {(): tuple([min(most[n:]) for n in count])}
         vec = [inf] * (self.full + 1)
-        for (profile, realized, free), bagcost in groups.items():
-            d = self._chain(t, profile, free)
+        for (row, got), cost in self._search(info.plan, color, fmask).items():
+            d = self._chain(t, tuple([row[a:b] for a, b in info.spans]))
             for imask in range(self.full + 1):
-                cand = bagcost + d[imask & ~realized]
+                cand = cost + d[imask & ~got]
                 if cand < vec[imask]:
                     vec[imask] = cand
         for orbit in self._orbits(fmask):
@@ -379,26 +296,59 @@ class PwayCutSolver:
                 vec[m] = best
         return tuple(vec)
 
-    def _colorings(self, n: int, fmask: int) -> List[Tuple[int, ...]]:
-        """Colorings of n components up to a permutation of the free colors
-        (those not in fmask): every color of fmask, and the free colors as
-        restricted-growth strings, each new one the smallest unused."""
-        out = self.colorings.get((n, fmask))
-        if out is None:
-            colors = range(1, self.p + 1)
-            forced = [c for c in colors if fmask >> (c - 1) & 1]
-            free = [c for c in colors if not fmask >> (c - 1) & 1]
-            rows: List[Tuple[Tuple[int, ...], int]] = [((), 0)]
-            for _ in range(n):
-                nxt = []
-                for phi, used in rows:
-                    for col in forced + free[:used]:
-                        nxt.append((phi + (col,), used))
-                    if used < len(free):
-                        nxt.append((phi + (free[used],), used + 1))
-                rows = nxt
-            out = self.colorings[(n, fmask)] = [phi for phi, _ in rows]
-        return out
+    def _search(self, plan, color: List[int], fmask: int) -> Dict[Tuple, int]:
+        """Per (colors of the child adhesions, realized mask), the minimum
+        cost of a coloring of the plan's vertices that extends `color` (the
+        adhesion, colored fmask), by one pruned depth-first search.
+
+        `cost` counts the bichromatic cost edges; `cross` adds the split
+        multi-vertex child adhesions, and a branch ends once `cross` tops
+        k. That loses nothing: decompose builds each child from a connected
+        component and its neighbourhood, so a split child costs 1 or more.
+        Permuting the colors outside fmask (the free colors) keeps the cost,
+        so a vertex takes a color of fmask, a free color in use, or the next
+        unused one: one coloring per orbit."""
+        order, earlier, closing, flat = plan
+        k, inf = self.k, self.inf
+        colors = range(1, self.p + 1)
+        shared = [c for c in colors if fmask >> (c - 1) & 1]
+        free = [c for c in colors if not fmask >> (c - 1) & 1]
+        # with `used` free colors in use: each color to take, and the count
+        choices = [[(c, used) for c in shared + free[:used]]
+                   + [(c, used + 1) for c in free[used:used + 1]]
+                   for used in range(len(free) + 1)]
+        last = len(order)
+        # (child adhesion colors, free colors used) -> minimum cost
+        groups: Dict[Tuple, int] = {}
+
+        def search(i: int, cost: int, cross: int, used: int) -> None:
+            if i == last:
+                key = (tuple([color[l] for l in flat]), used)
+                if cost < groups.get(key, inf):
+                    groups[key] = cost
+                return
+            v, before, shut = order[i], earlier[i], closing[i + 1]
+            for col, now in choices[used]:
+                split = 0
+                for u in before:
+                    if color[u] != col:
+                        split += 1
+                x = cross + split
+                if x > k:
+                    continue
+                color[v] = col
+                for adh_l in shut:
+                    x += len({color[l] for l in adh_l}) > 1
+                if x <= k:
+                    search(i + 1, cost + split, x, now)
+
+        cross = sum(len({color[l] for l in adh_l}) > 1 for adh_l in closing[0])
+        if cross <= k:
+            search(0, 0, cross, 0)
+        realized = [fmask | sum(1 << (c - 1) for c in free[:used])
+                    for used in range(len(free) + 1)]
+        return {(row, realized[used]): cost
+                for (row, used), cost in groups.items()}
 
     def _orbits(self, fmask: int) -> List[List[int]]:
         """The masks grouped by their colors in fmask and their number of
@@ -490,7 +440,7 @@ class PwayCutSolver:
             if gp[a] != gp[b]:
                 keep_cost[comp_of[a] if a in comp_of else comp_of[b]] += 1
 
-        row = self.absorb[0]
+        row = self.unit
         for ci in group0:
             cid, adh_l = info.children[ci]
             row = self._merge(self.vector(cid, (p,) * len(adh_l)), row)

@@ -1,7 +1,7 @@
+import os
 import random
 import sys
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -12,7 +12,7 @@ from qktree.core import (
     connected_components,
     induced_subgraph,
 )
-from qktree.decomp import decompose
+from qktree.decomp import RootedTreeDecomposition, decompose
 from qktree.pwaycut import PwayCutSolver, min_pway_cut
 from qktree.verify import brute_pway_cut
 from qktree.verify import INFEASIBLE as BRUTE_INFEASIBLE
@@ -253,8 +253,8 @@ def test_table_entries_match_exhaustive_coloring(seed):
     rng = random.Random(seed)
     g3 = gnp(rng.randint(5, 8), 0.35, seed + 40)
     # at p = k = 4 the graph is larger, so the decomposition has bags with
-    # cycles (crossing sets that separate nothing, skipped by the DP) and
-    # child adhesions of two or more vertices (crossing adhesion units)
+    # cycles (a vertex the search colors after two of its neighbours) and
+    # child adhesions of two or more vertices (which a coloring can split)
     g4 = gnp(11, 0.35, seed + 40)
     for g, p, k in ((g3, 3, 3), (g4, 4, 4)):
         deco, solver = solved(g, p, k, seed)
@@ -296,62 +296,115 @@ def test_only_canonical_colorings_are_computed(monkeypatch):
     assert len(solver.vectors) == len(computed) + len(relabeled)
 
 
-def every_crossing_set(nb, units, k):
-    """The kept crossing sets by exhaustion: every set of at most k units in
-    `combinations` order by size, one union-find over all units per set,
-    dropping a set in which some crossing unit keeps its vertices in one
-    component; components are named by their smallest vertex."""
-    out = []
-    for r in range(min(k, len(units)) + 1):
-        for subset in combinations(range(len(units)), r):
-            parent = list(range(nb))
-
-            def find(x):
-                while parent[x] != x:
-                    x = parent[x]
-                return x
-
-            for ui, verts in enumerate(units):
-                if ui not in subset:
-                    for v in verts[1:]:
-                        parent[find(v)] = find(verts[0])
-            smallest = {}
-            for v in range(nb):
-                smallest.setdefault(find(v), v)
-            label = tuple(smallest[find(v)] for v in range(nb))
-            if any(len({label[v] for v in units[ui]}) == 1 for ui in subset):
-                continue
-            out.append((subset, label))
-    return out
+def test_every_vector_matches_exhaustive_coloring_on_small_decompositions():
+    # 300 seeded decompositions, built at k = 1-3 so that child adhesions
+    # of 2 and 3 vertices occur, and solved at every p in 2-4 and k in 0-4
+    adhesion_sizes = set()
+    split_vectors = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = gnp(rng.randint(6, 11), rng.uniform(0.2, 0.4), seed)
+        deco, _ = decompose(g, rng.randint(1, 3), 1,
+                            rng=random.Random(seed), seed=seed)
+        p, k = rng.randint(2, 4), rng.randint(0, 4)
+        solver = PwayCutSolver(g, deco, p, k, 1, random.Random(seed))
+        solver.entry(deco.root, (), solver.full)
+        for (t, f), vec in solver.vectors.items():
+            expect = brute_vector(g, deco, t, f, p, k)
+            assert vec == expect, (seed, p, k, t, f, vec, expect)
+            split_vectors += len(set(f)) > 1
+        adhesion_sizes.update(
+            len(adh_l) for info in solver.info for _, adh_l in info.children)
+    assert {2, 3} <= adhesion_sizes
+    # some child was asked for a vector with its adhesion split
+    assert split_vectors
 
 
-def test_node_shapes_match_every_crossing_set():
-    rng = random.Random(19)
-    dropped = 0
-    for _ in range(400):
-        nb = rng.randint(1, 9)
-        edges = [(a, b) for a, b in combinations(range(nb), 2)
-                 if rng.random() < 0.4]
-        # child adhesions of 2-3 vertices, after the edges as in _Node.units
-        adhesions = [
-            tuple(sorted(rng.sample(range(nb), rng.randint(2, min(3, nb)))))
-            for _ in range(rng.randint(0, 2) if nb >= 2 else 0)
-        ]
-        units = edges + adhesions
-        k = rng.randint(0, 5)
-        want = every_crossing_set(nb, units, k)
-        assert pwaycut._crossing_sets(nb, units, k) == want, (nb, units, k)
-        dropped += sum(
-            comb(len(units), r) for r in range(min(k, len(units)) + 1)
-        ) - len(want)
-    assert dropped, "no crossing set separated nothing"
-    # the shapes of a solved decomposition, one per kept set
-    _deco, solver = solved(gnp(11, 0.35, 40), 4, 4, 0)
-    built = [(info, shapes) for info, shapes in zip(solver.info, solver.shapes)
-             if shapes is not None]
-    assert any(len(adh_l) >= 2 for info, _ in built for _, adh_l in info.children)
-    for info, shapes in built:
-        assert len(shapes) == len(every_crossing_set(len(info.bag), info.units, 4))
+def test_canonical_vectors_computed_on_a_pool_instance(monkeypatch):
+    # the DP demands a child's vector only for colorings whose bichromatic
+    # bag edges plus split child adhesions number at most k; a weaker
+    # bound keeps every value but computes more vectors, so pin the count
+    # on one instance of the seed-1 perfbench `pwaycut` pool
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    pool = workloads.make_pool(workloads.WORKLOADS["pwaycut"], 1, 2)
+    inst = next(inst for inst in pool if inst.index == 12)
+    computed = []
+    compute_vector = PwayCutSolver._compute_vector
+
+    def recording(self, t, f):
+        computed.append((t, f))
+        return compute_vector(self, t, f)
+
+    monkeypatch.setattr(PwayCutSolver, "_compute_vector", recording)
+    g = Graph(inst.n, inst.edges)
+    res = min_pway_cut(g, inst.p, inst.k, 1, rng=random.Random(inst.seed),
+                       seed=inst.seed)
+    assert (inst.n, inst.p, inst.k) == (17, 3, 4)
+    assert res.cost == brute_pway_cut(g, inst.p, inst.k) == 2
+    assert len(set(computed)) == len(computed) == 13
+
+
+def disjoint_union(parts):
+    """Cliques ("K", n), paths ("P", n) and cycles ("C", n), side by side."""
+    edges, base = [], 0
+    for kind, n in parts:
+        if kind == "K":
+            edges += [(base + i, base + j)
+                      for i in range(n) for j in range(i + 1, n)]
+        else:
+            edges += [(base + i, base + i + 1) for i in range(n - 1)]
+            if kind == "C":
+                edges.append((base, base + n - 1))
+        base += n
+    return Graph(base, edges)
+
+
+@pytest.mark.parametrize("parts, p, k", [
+    ([("K", 1)] * 8 + [("K", 4)], 10, 3),
+    ([("K", 1)] * 9, 10, 1),
+    ([("K", 1)] * 9 + [("P", 7)], 10, 4),
+    ([("K", 2)] * 8, 10, 2),
+    ([("P", 2)] * 5 + [("C", 6)], 8, 4),
+    ([("P", 3)] * 5, 7, 4),
+    ([("K", 1)] * 5 + [("C", 5), ("P", 4)], 10, 4),
+    ([("P", 4)] * 4, 10, 4),
+    ([("K", 1)] * 6 + [("P", 10)], 10, 4),
+])
+def test_components_sharing_one_bag(parts, p, k):
+    # decompose gives each component its own subtree, so put them all in
+    # one exact-regime bag by hand: each is a whole component of G
+    g = disjoint_union(parts)
+    assert g.n <= config.PWAY_EXACT_BAG_LIMIT
+    deco = RootedTreeDecomposition(g.n)
+    deco.add_node(None, frozenset(range(g.n)))
+    solver = PwayCutSolver(g, deco, p, k, 1, random.Random(0))
+    got = solver.entry(deco.root, (), solver.full)
+    oracle = brute_pway_cut(g, p, k)
+    assert got == (k + 1 if oracle == BRUTE_INFEASIBLE else oracle)
+
+
+@pytest.mark.parametrize("bag_limit", [config.PWAY_EXACT_BAG_LIMIT, -1])
+def test_empty_bags(bag_limit, monkeypatch):
+    # with the coded regime forced, an empty bag still goes exact
+    monkeypatch.setattr(config, "PWAY_EXACT_BAG_LIMIT", bag_limit)
+    empty, _ = decompose(Graph(0, []), 1, 1, seed=0)
+    solver = PwayCutSolver(Graph(0, []), empty, 2, 2, 1, random.Random(0))
+    assert solver.vector(empty.root, ()) == (0, 3, 3, 3)
+    # an empty root bag above two components (a path and an edge)
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    deco = RootedTreeDecomposition(5)
+    deco.add_node(None, frozenset())
+    deco.add_node(0, frozenset([0, 1, 2]))
+    deco.add_node(0, frozenset([3, 4]))
+    for p, k in ((2, 1), (3, 1), (4, 2), (4, 1)):
+        solver = PwayCutSolver(g, deco, p, k, 1, random.Random(p))
+        got = solver.entry(deco.root, (), solver.full)
+        oracle = brute_pway_cut(g, p, k)
+        assert got == (k + 1 if oracle == BRUTE_INFEASIBLE else oracle)
 
 
 def test_entry_monotone_in_required_colors():

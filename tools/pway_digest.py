@@ -6,11 +6,12 @@ usage (from the repository root): python3 tools/pway_digest.py MODE [SRC]
            decomposition is built first as min_pway_cut builds it, then
            the DP runs from the rng state that leaves. Prints a sha256 over
            (index, root entry) and every (t, f) vector in solver.vectors
-           order, the DP's seconds, and how many canonical colorings each
+           order; an order-free sha256 over (index, root entry) and the
+           canonical vectors (colors numbered by first occurrence) sorted
+           by key; the DP's seconds; and how many canonical colorings each
            node computed by the exact regime serves. A second, untimed pass
-           wraps PwayCutSolver._node_shapes to count the crossing sets the
-           exact regime keeps (a machine-independent count of its work) and
-           the seconds spent building them.
+           counts the colorings the exact regime's search completes (a
+           machine-independent count of its work).
   coded    the coded regime forced (config.PWAY_EXACT_BAG_LIMIT = -1) on 48
            connected G(n, p') graphs, n 5-10, p' in [0.25, 0.5], times
            p 2-4 and k 1-3. Prints a sha256 over each answer, every (t, f)
@@ -59,37 +60,47 @@ if mode == "vectors":
              for s, (_, deco, _) in zip(solvers, runs)]
     dp_s = time.perf_counter() - t0
     h = hashlib.sha256()
+    unordered = hashlib.sha256()
     for s, root, (inst, _, _) in zip(solvers, roots, runs):
         h.update(repr((inst.index, root)).encode())
         for key, vec in s.vectors.items():
             h.update(repr((key, vec)).encode())
+        unordered.update(repr((inst.index, root)).encode())
+        canonical = [key for key in s.vectors if s._canonical(key[1])[0] == key[1]]
+        for key in sorted(canonical):
+            unordered.update(repr((key, s.vectors[key])).encode())
     exact_fs = defaultdict(set)
     exact = pwaycut.PwayCutSolver._exact_vector
-    node_shapes = pwaycut.PwayCutSolver._node_shapes
-    shapes_s = [0.0]
+    # the search is the one function nested in PwayCutSolver._search (None
+    # in a checkout without it); a call with every vertex of its plan
+    # colored is a completed coloring
+    outer = getattr(pwaycut.PwayCutSolver, "_search", None)
+    search = outer and next(c for c in outer.__code__.co_consts
+                            if getattr(c, "co_name", None) == "search")
+    completed = [0 if search else None]
 
-    def timed_shapes(s, t):
-        t0 = time.perf_counter()
-        out = node_shapes(s, t)
-        shapes_s[0] += time.perf_counter() - t0
-        return out
+    def count_completed(frame, event, _arg):
+        if event == "call" and frame.f_code is search:
+            scope = frame.f_locals
+            completed[0] += scope["i"] == scope["last"]
 
-    crossing_sets = 0
     for inst, deco, make in runs:
         s = make()
         s._exact_vector = lambda t, f, i=inst.index, s=s: (
             exact_fs[(i, t)].add(f) or exact(s, t, f))
-        s._node_shapes = lambda t, s=s: timed_shapes(s, t)
-        s.entry(deco.root, (), s.full)
-        crossing_sets += sum(len(shapes) for shapes in s.shapes if shapes)
+        sys.setprofile(count_completed)
+        try:
+            s.entry(deco.root, (), s.full)
+        finally:
+            sys.setprofile(None)
     hist = Counter(len(v) for v in exact_fs.values())
     print(json.dumps({
-        "instances": len(runs), "digest": h.hexdigest(), "dp_s": round(dp_s, 3),
+        "instances": len(runs), "digest": h.hexdigest(),
+        "unordered_digest": unordered.hexdigest(), "dp_s": round(dp_s, 3),
         "exact_nodes": len(exact_fs),
         "exact_vectors": sum(len(v) for v in exact_fs.values()),
         "canonical_f_per_node_histogram": dict(sorted(hist.items())),
-        "crossing_sets_kept": crossing_sets,
-        "node_shapes_s": round(shapes_s[0], 3),
+        "completed_colorings": completed[0],
     }))
 
 elif mode == "mem":
