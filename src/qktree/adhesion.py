@@ -43,7 +43,10 @@ def reduce_adhesion(
             assert len(t - x) <= n ** (1 - (level - 1) * epsilon) + 1e-9
         ctx = WitnessContext(g, t, x, k_prime)
         q_set, coll = witness_cover(ctx, rng)
-        threshold = math.ceil(n ** (1 - level * epsilon))
+        # at least 1, so that an empty cover ends the loop at n = 0 too; the
+        # exponent stops at 0, which changes nothing for n >= 1 but keeps
+        # 0 ** (negative) from raising when ℓε > 1
+        threshold = max(1, math.ceil(n ** max(0, 1 - level * epsilon)))
         while len(q_set) >= threshold:
             if not coll:
                 logger.warning(

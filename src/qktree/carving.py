@@ -1,19 +1,17 @@
-"""Witness predicates, carvable vertices, carve operations, color-coded
-disjoint-witness covers, and lean enforcement."""
+"""Witness predicates, carve operations, color-coded disjoint-witness
+covers, and lean enforcement."""
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import config
 from .core import (
     Graph,
-    SizeGuardError,
     VertexCut,
     components_masks,
-    is_connected,
     mask_to_set,
     set_to_mask,
     torso,
@@ -62,44 +60,6 @@ def is_witness(ctx: WitnessContext, cut: VertexCut) -> bool:
         and len(cut.L & ctx.t_set) > sep
         and ctx.x_set <= cut.R
     )
-
-
-def is_connected_witness(ctx: WitnessContext, cut: VertexCut) -> bool:
-    """A witness whose set (L\\R)∩T induces a connected torso subgraph."""
-    if not is_witness(ctx, cut):
-        return False
-    h, ids = ctx.torso_graph()
-    pos = {v: i for i, v in enumerate(ids)}
-    local = [pos[v] for v in cut.left_only & ctx.t_set]
-    return is_connected(h, local)
-
-
-def carvable_oracle(ctx: WitnessContext) -> FrozenSet[int]:
-    """Exact set of terminals lying in L\\R of some connected witness,
-    by enumerating every (L\\R, L∩R, R\\L) assignment of the vertices."""
-    g = ctx.g
-    limit = config.CARVABLE_ENUM_LIMIT
-    if g.n > limit:
-        raise SizeGuardError(
-            f"graph with {g.n} vertices exceeds the enumeration limit {limit}"
-        )
-    carvable: set = set()
-    for assign in product((0, 1, 2), repeat=g.n):
-        left_only = [v for v in range(g.n) if assign[v] == 0]
-        sep = [v for v in range(g.n) if assign[v] == 1]
-        if not left_only or len(sep) > ctx.k_prime:
-            continue
-        if any(v in ctx.x_set for v in left_only):
-            continue
-        if not (set(left_only) & ctx.t_set) - carvable:
-            continue  # nothing new to learn from this assignment
-        cut = VertexCut(
-            frozenset(left_only) | frozenset(sep),
-            frozenset(range(g.n)) - frozenset(left_only),
-        )
-        if cut.is_valid(g) and is_connected_witness(ctx, cut):
-            carvable.update(set(left_only) & ctx.t_set)
-    return frozenset(carvable)
 
 
 def carve_many(t_set: Iterable[int], cuts: CutCollection) -> FrozenSet[int]:

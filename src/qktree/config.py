@@ -2,9 +2,10 @@
 
 # Largest set w that the separator sweep of the unbreakability check (and
 # the verifier) always checks, whatever its DFS passes below: the sweep
-# skips every separator with fewer than 2q + 2 - |w| vertices of w.
-# Sparse decompositions at n = 60, k = 4 rely on it, since every full
-# sweep there is over the pass limit.
+# skips every separator with fewer than 2q + 2 - |w| vertices of w. The
+# pass limit alone admits every full sweep up to n = 446 at k = 3 and
+# n = 84 at k = 4 (36,052 passes at n = 60, k = 4), so this rule decides a
+# check only on larger graphs, never in the perfbench pools (n <= 60).
 UNBREAKABLE_ENUM_LIMIT = 24
 
 # Largest number of DFS passes that the separator sweep of the
@@ -21,11 +22,10 @@ UNBREAKABLE_ENUM_LIMIT = 24
 # strategy takes raises SizeGuardError.
 SEPARATOR_SWEEP_LIMIT = 100_000
 
-# Largest graph accepted by the 3^n brute-force oracles (cut enumeration).
+# Largest graph accepted by the brute-force oracles in verify.py: the 3^n
+# cut enumeration (and the carvable-vertex oracle over it) and the 2^n
+# vertex-set enumerations.
 CUT_ENUM_LIMIT = 12
-
-# Largest graph accepted by the carvable-vertex oracle.
-CARVABLE_ENUM_LIMIT = 10
 
 # Largest p that min_pway_cut accepts (an input range, not a tuning knob):
 # the DP's subset convolution has 3^p terms. Untraced on a 2-core host, a

@@ -18,14 +18,6 @@ def _check_independent(g: Graph, terms: List[int]) -> None:
                 )
 
 
-def _single_terminal_mincut(
-    cg: CapacitatedGraph, w: int, others: FrozenSet[int]
-) -> VertexCut:
-    res = bounded_vertex_maxflow(cg, frozenset([w]), others, bound=cg.base.n)
-    assert res.mincut is not None
-    return res.mincut
-
-
 def ordered_disjoint(a: VertexCut, b: VertexCut) -> bool:
     """Disjointness for an ordered pair of cuts: L_a\\R_a avoids all of L_b."""
     return not (a.left_only & b.L)
@@ -40,28 +32,19 @@ def pairwise_disjoint(cuts: Iterable[VertexCut]) -> bool:
     return True
 
 
-def isolating_vertex_cuts(
-    cg: CapacitatedGraph, w: Iterable[int], naive: bool = False
-) -> List[VertexCut]:
+def isolating_vertex_cuts(cg: CapacitatedGraph, w: Iterable[int]) -> List[VertexCut]:
     """For each terminal, a mincut separating it from the other terminals.
 
     Terminals must form an independent set of size >= 2 (capacities INF).
-    The returned cuts are aligned with sorted(w); in the default mode they
-    are pairwise disjoint (ordered sense), computed with ~log|w| set-to-set
-    flows plus one localized flow per terminal.
+    The returned cuts are aligned with sorted(w) and pairwise disjoint
+    (ordered sense), computed with ~log|w| set-to-set flows plus one
+    localized flow per terminal.
     """
     g = cg.base
     terms = sorted(set(w))
     if len(terms) < 2:
         raise PreconditionError("PRECONDITION_SIZE", "need at least two terminals")
     _check_independent(g, terms)
-    term_set = frozenset(terms)
-
-    if naive:
-        cuts = [
-            _single_terminal_mincut(cg, t, term_set - {t}) for t in terms
-        ]
-        return cuts
 
     # phase 1: log|W| set-to-set mincuts along the bit code classes
     bits = max(1, (len(terms) - 1).bit_length())

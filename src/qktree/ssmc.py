@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Tuple
 
-from .core import Graph, VertexCut
+from .core import VertexCut
 from .flow import (
     EXCEEDS_BOUND,
     INF,
@@ -31,11 +31,6 @@ class MincutCover:
 
     def all_cuts(self) -> List[VertexCut]:
         return [cut for coll in self.collections for cut in coll]
-
-
-def width_budget(k: int, n: int) -> int:
-    log = max(1, math.ceil(math.log2(max(n, 2))))
-    return 8 * k * log ** 3
 
 
 def _cuts_by_size(
@@ -185,45 +180,3 @@ def single_source_mincut_cover(
             for cut in round_cuts:
                 gamma |= cut.left_only & (sink_set - gamma)
     return cover, frozenset(gamma)
-
-
-def check_cover_properties(
-    g: Graph,
-    cg: CapacitatedGraph,
-    s: int,
-    captured: FrozenSet[int],
-    cover: MincutCover,
-    mincut_value,
-) -> List[str]:
-    """Literal check of the three mincut-cover properties; returns a list of
-    violation descriptions (empty means all hold).
-
-    mincut_value(t) must return lambda(t, s) computed independently.
-    """
-    problems = []
-    for ci, coll in enumerate(cover.collections):
-        if not pairwise_disjoint(coll):
-            problems.append(f"collection {ci} is not pairwise disjoint")
-        for cut in coll:
-            if not cut.is_valid(g):
-                problems.append(f"collection {ci} holds an invalid cut")
-                continue
-            if s not in cut.right_only:
-                problems.append(f"collection {ci} holds a cut not avoiding s")
-                continue
-            owners = [t for t in captured if t in cut.left_only]
-            if not owners:
-                problems.append(
-                    f"collection {ci} holds a cut isolating no captured sink"
-                )
-                continue
-            if all(cut.size != mincut_value(t) for t in owners):
-                problems.append(
-                    f"collection {ci} holds a non-mincut of size {cut.size}"
-                )
-    for t in captured:
-        if not any(
-            t in cut.left_only for coll in cover.collections for cut in coll
-        ):
-            problems.append(f"captured sink {t} is covered by no cut")
-    return problems

@@ -1,4 +1,6 @@
-"""Brute-force oracles and structural validators, independent of the fast paths."""
+"""The reference layer: brute-force oracles, property checkers and
+structural validators, independent of the fast paths. No pipeline module
+imports it; the pipeline's randomized parts are tested against it."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from . import config
+from .carving import WitnessContext, is_witness
 from .core import (
     Graph,
     SizeGuardError,
@@ -19,17 +22,25 @@ from .core import (
     is_connected,
     neighborhood,
 )
+from .flow import CapacitatedGraph, bounded_vertex_maxflow
+from .isolating import pairwise_disjoint
 from .origin import UNBREAKABLE, check_by_separators
+from .ssmc import MincutCover
 
 INFEASIBLE = "INFEASIBLE"
 
 
-def enumerate_vertex_cuts(g: Graph, max_size: Optional[int] = None):
-    """All valid vertex cuts (L,R) of g by 3^n assignment enumeration."""
+def _check_enum_size(g: Graph) -> None:
+    """The size guard of every 3^n and 2^n oracle here."""
     if g.n > config.CUT_ENUM_LIMIT:
         raise SizeGuardError(
             f"n={g.n} exceeds the cut enumeration limit {config.CUT_ENUM_LIMIT}"
         )
+
+
+def enumerate_vertex_cuts(g: Graph, max_size: Optional[int] = None):
+    """All valid vertex cuts (L,R) of g by 3^n assignment enumeration."""
+    _check_enum_size(g)
     n = g.n
     for code in range(3 ** n):
         left_only, sep, right_only = [], [], []
@@ -65,10 +76,7 @@ def brute_unbreakability(g: Graph, w: Iterable[int], q: int, k: int):
 def brute_net_check(g: Graph, w: Iterable[int], sigma: int, alpha) -> bool:
     """True iff w hits every component of size > alpha*n left by deleting
     any vertex set of size <= sigma (net property 1); exhaustive."""
-    if g.n > config.CUT_ENUM_LIMIT:
-        raise SizeGuardError(
-            f"n={g.n} exceeds the cut enumeration limit {config.CUT_ENUM_LIMIT}"
-        )
+    _check_enum_size(g)
     wset = set(w)
     limit = alpha * g.n
     for size in range(0, sigma + 1):
@@ -83,10 +91,7 @@ def brute_origin_check(g: Graph, x: Iterable[int], sigma: int, alpha) -> bool:
     """True iff x is an alpha-balanced sigma-origin: every superset of x
     with adhesion <= sigma is alpha-balanced; exhaustive over the 2^(n-|x|)
     supersets."""
-    if g.n > config.CUT_ENUM_LIMIT:
-        raise SizeGuardError(
-            f"n={g.n} exceeds the cut enumeration limit {config.CUT_ENUM_LIMIT}"
-        )
+    _check_enum_size(g)
     xset = frozenset(x)
     rest = sorted(set(range(g.n)) - xset)
     for code in range(1 << len(rest)):
@@ -97,6 +102,94 @@ def brute_origin_check(g: Graph, x: Iterable[int], sigma: int, alpha) -> bool:
         if adhesion(g, sup) <= sigma and not is_balanced(g, sup, alpha):
             return False
     return True
+
+
+def is_connected_witness(ctx: WitnessContext, cut: VertexCut) -> bool:
+    """A witness whose set (L\\R)∩T induces a connected torso subgraph."""
+    if not is_witness(ctx, cut):
+        return False
+    h, ids = ctx.torso_graph()
+    pos = {v: i for i, v in enumerate(ids)}
+    local = [pos[v] for v in cut.left_only & ctx.t_set]
+    return is_connected(h, local)
+
+
+def carvable_oracle(ctx: WitnessContext) -> FrozenSet[int]:
+    """Exact set of terminals lying in L\\R of some connected witness: the
+    cuts of at most k' separator vertices whose L\\R avoids X, holds a
+    terminal not yet found and is a connected witness."""
+    carvable: set = set()
+    for cut in enumerate_vertex_cuts(ctx.g, ctx.k_prime):
+        found = cut.left_only & ctx.t_set
+        if (
+            found - carvable
+            and ctx.x_set.isdisjoint(cut.left_only)
+            and is_connected_witness(ctx, cut)
+        ):
+            carvable |= found
+    return frozenset(carvable)
+
+
+def naive_isolating_cuts(cg: CapacitatedGraph, w: Iterable[int]) -> List[VertexCut]:
+    """For each terminal of sorted(w), its source-minimal mincut against
+    the other terminals, one flow each: the reference for
+    isolating.isolating_vertex_cuts. The terminals must be independent,
+    with infinite capacities."""
+    terms = frozenset(w)
+    cuts = []
+    for t in sorted(terms):
+        res = bounded_vertex_maxflow(cg, {t}, terms - {t}, bound=cg.base.n)
+        assert res.mincut is not None
+        cuts.append(res.mincut)
+    return cuts
+
+
+def width_budget(k: int, n: int) -> int:
+    """The width bound 8k⌈log₂ n⌉³ of a single-source mincut cover."""
+    log = max(1, math.ceil(math.log2(max(n, 2))))
+    return 8 * k * log ** 3
+
+
+def check_cover_properties(
+    g: Graph,
+    cg: CapacitatedGraph,
+    s: int,
+    captured: FrozenSet[int],
+    cover: MincutCover,
+    mincut_value,
+) -> List[str]:
+    """Literal check of the three mincut-cover properties; returns a list of
+    violation descriptions (empty means all hold).
+
+    mincut_value(t) must return lambda(t, s) computed independently.
+    """
+    problems = []
+    for ci, coll in enumerate(cover.collections):
+        if not pairwise_disjoint(coll):
+            problems.append(f"collection {ci} is not pairwise disjoint")
+        for cut in coll:
+            if not cut.is_valid(g):
+                problems.append(f"collection {ci} holds an invalid cut")
+                continue
+            if s not in cut.right_only:
+                problems.append(f"collection {ci} holds a cut not avoiding s")
+                continue
+            owners = [t for t in captured if t in cut.left_only]
+            if not owners:
+                problems.append(
+                    f"collection {ci} holds a cut isolating no captured sink"
+                )
+                continue
+            if all(cut.size != mincut_value(t) for t in owners):
+                problems.append(
+                    f"collection {ci} holds a non-mincut of size {cut.size}"
+                )
+    for t in captured:
+        if not any(
+            t in cut.left_only for coll in cover.collections for cut in coll
+        ):
+            problems.append(f"captured sink {t} is covered by no cut")
+    return problems
 
 
 @dataclass

@@ -14,7 +14,7 @@ import zlib
 from functools import lru_cache
 from itertools import combinations
 
-from qktree.carving import WitnessContext, carvable_oracle, witness_cover
+from qktree.carving import WitnessContext, witness_cover
 from qktree.cli import main as cli_main
 from qktree.core import Graph, connected_components, format_edge_list
 from qktree.decomp import (
@@ -32,16 +32,16 @@ from qktree.flow import (
 from qktree.isolating import isolating_vertex_cuts, pairwise_disjoint
 from qktree.origin import UNBREAKABLE, balanced_origin, check_unbreakable
 from qktree.pwaycut import min_pway_cut
-from qktree.ssmc import (
-    check_cover_properties,
-    single_source_mincut_cover,
-    width_budget,
-)
+from qktree.ssmc import single_source_mincut_cover
 from qktree.verify import (
     INFEASIBLE,
     brute_pway_cut,
+    carvable_oracle,
+    check_cover_properties,
+    naive_isolating_cuts,
     validate_decomposition,
     verify_subtree_unbreakability,
+    width_budget,
 )
 
 from conftest import (
@@ -307,7 +307,7 @@ def test_criterion_5_isolating_cuts():
     for seed, g, terms in isolating_corpus():
         cg = caps_with_inf(g, terms)
         fast = isolating_vertex_cuts(cg, terms)
-        naive = isolating_vertex_cuts(cg, terms, naive=True)
+        naive = naive_isolating_cuts(cg, terms)
         if [c.size for c in fast] != [c.size for c in naive]:
             failures.append((seed, "fast/naive size mismatch"))
             continue

@@ -1,4 +1,6 @@
+import logging
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,3 +92,14 @@ def test_small_decompositions_pass_the_debug_checks():
         k = rng.randint(1, 3)
         for variant in (VARIANT_STANDARD, VARIANT_DEPTH_REDUCED):
             decompose(g, k, 1, variant, seed=seed)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(2, 3)])
+def test_empty_graph_decomposes_without_warnings(epsilon, caplog):
+    """On n = 0 the carve threshold n^(1 - ℓε) stays at least 1, so an
+    empty cover ends the carve loop without a warning, and an exponent
+    below 0 (ε = 2/3 at level 2) raises nothing."""
+    with caplog.at_level(logging.WARNING, logger="qktree.adhesion"):
+        deco, _report = decompose(Graph(0, []), 1, epsilon)
+    assert [node.bag for node in deco.nodes] == [frozenset()]
+    assert not caplog.records

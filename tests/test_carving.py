@@ -7,11 +7,9 @@ import pytest
 from qktree import carving, config
 from qktree.carving import (
     WitnessContext,
-    carvable_oracle,
     carve_many,
     color_family,
     color_family_general,
-    is_connected_witness,
     is_witness,
     make_lean,
     witness_cover,
@@ -33,6 +31,7 @@ from qktree.flow import (
 )
 from qktree.origin import UNBREAKABLE, balanced_origin, check_unbreakable
 from qktree.ssmc import single_source_mincut_cover
+from qktree.verify import carvable_oracle, is_connected_witness, width_budget
 
 from conftest import connected_gnp, gnp, path_graph, star_graph
 
@@ -115,9 +114,10 @@ def test_carvable_oracle_path():
 
 
 def test_carvable_oracle_size_guard():
-    g = path_graph(11)
+    n = config.CUT_ENUM_LIMIT + 1
+    g = path_graph(n)
     with pytest.raises(SizeGuardError):
-        carvable_oracle(WitnessContext(g, range(11), {10}, 1))
+        carvable_oracle(WitnessContext(g, range(n), {n - 1}, 1))
 
 
 def test_carvable_matches_connected_witness_enumeration():
@@ -391,8 +391,6 @@ def test_witness_cover_residual_unbreakable():
 
 
 def test_witness_cover_best_fraction():
-    from qktree.ssmc import width_budget
-
     for seed in range(15):
         g, x = witness_cover_instance(seed)
         ctx = WitnessContext(g, range(g.n), x, 2)

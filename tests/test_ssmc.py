@@ -10,11 +10,8 @@ from qktree.flow import (
     CapacitatedGraph,
     bounded_vertex_maxflow,
 )
-from qktree.ssmc import (
-    check_cover_properties,
-    single_source_mincut_cover,
-    width_budget,
-)
+from qktree.ssmc import single_source_mincut_cover
+from qktree.verify import check_cover_properties, width_budget
 
 from conftest import gnp
 
