@@ -17,7 +17,6 @@ from .core import (
     torso,
 )
 from .flow import EXCEEDS_BOUND, INF, bounded_vertex_maxflow, unit_capacities, with_new_vertices
-from .isolating import ordered_disjoint
 from .ssmc import CutCollection, single_source_mincut_cover
 
 ColorFunction = Tuple[int, ...]
@@ -254,16 +253,20 @@ def witness_cover(
     )
     # greedily absorb cuts from the other collections while the merged
     # family stays pairwise disjoint; every member is still a witness, so
-    # carving along the merged family removes more terminals per round
+    # carving along the merged family removes more terminals per round. A
+    # cut is disjoint from every merged one, both ways, iff its L\R misses
+    # the union of their L and its L misses the union of their L\R
     merged = list(best_raw)
+    union_l = set().union(*(cut.L for cut in merged))
+    union_left_only = set().union(*(cut.left_only for cut in merged))
     for coll in kept:
         if coll is best_raw:
             continue
         for cut in coll:
-            if all(
-                ordered_disjoint(cut, other) and ordered_disjoint(other, cut)
-                for other in merged
-            ):
+            left_only = cut.left_only
+            if left_only.isdisjoint(union_l) and cut.L.isdisjoint(union_left_only):
                 merged.append(cut)
+                union_l |= cut.L
+                union_left_only |= left_only
     best = make_lean(ctx, merged) if merged else []
     return frozenset(q_set), best

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import FrozenSet, Iterable, List, Optional
 
 from . import config
@@ -120,14 +120,17 @@ def _removal_profile(g: Graph, smask: int):
     return comps, comp_of, pieces, count
 
 
-def _components_without(profile, w: int) -> List[int]:
-    """Components of the profiled graph minus vertex w, as bitmasks
-    ordered by smallest member (the order of components_masks)."""
+def _components_without(profile, v: Optional[int]) -> List[int]:
+    """Components of the profiled graph minus vertex v (minus nothing when
+    v is None), as bitmasks ordered by smallest member (the order of
+    components_masks)."""
     comps, comp_of, pieces, _count = profile
-    i = comp_of[w]
-    out = comps[:i] + comps[i + 1:] + pieces[w]
-    rest = comps[i] & ~(1 << w)
-    for piece in pieces[w]:
+    if v is None:
+        return comps
+    i = comp_of[v]
+    out = comps[:i] + comps[i + 1:] + pieces[v]
+    rest = comps[i] & ~(1 << v)
+    for piece in pieces[v]:
         rest &= ~piece
     if rest:
         out.append(rest)
@@ -135,37 +138,81 @@ def _components_without(profile, w: int) -> List[int]:
     return out
 
 
-def _disconnecting_separators(g: Graph, k: int, wmask: int, need: int):
-    """Yields lazily every vertex set of size <= k that holds at least
-    `need` vertices of wmask and whose removal leaves >= 2 components, as
-    (mask, components), ascending by (size, lexicographic members); a
-    caller that stops early pays only for what it read.
+def _w_counts(profile, v: Optional[int], wmask: int) -> List[int]:
+    """How many wmask vertices each component of the profiled graph minus
+    vertex v holds, in no fixed order (a component of v's without any may
+    read as an extra 0), without building the components."""
+    comps, comp_of, pieces, _count = profile
+    if v is None:
+        return [bin(c & wmask).count("1") for c in comps]
+    counts = [bin(c & wmask).count("1") for c in comps + pieces[v]]
+    # v's component leaves its pieces and the rest (none when v is a root)
+    counts[comp_of[v]] -= sum(counts[len(comps):]) + ((wmask >> v) & 1)
+    return counts
+
+
+class _SweepCursor:
+    """A separator sweep of one graph and k that the next check resumes:
+    its stream, the item the last check answered with (None before the
+    first answer), and the current check's wmask and need."""
+
+    __slots__ = ("wmask", "need", "stream", "stopped")
+
+    def __init__(self, g: Graph, k: int):
+        self.wmask = 0
+        self.need = 0
+        self.stream = _separator_stream(g, k, self)
+        self.stopped = None
+
+
+def _separator_stream(g: Graph, k: int, cursor: _SweepCursor):
+    """Yields lazily (mask, profile, v) for every vertex set of size <= k
+    that holds at least cursor.need vertices of cursor.wmask and whose
+    removal leaves >= 2 components, ascending by (size, lexicographic
+    members); v is the set's last vertex (None for the empty set), and
+    _components_without(profile, v) its components. A caller that stops
+    early pays only for what it read.
 
     Each size is read off one DFS forest of the graph minus each prefix
     one vertex smaller (its cut vertices, and the components they leave);
     a prefix short of need - 1 w-vertices gets none, and one at need - 1
-    takes only last vertices in w."""
+    takes only last vertices in w. wmask and need are read at each prefix,
+    so raising need between items prunes the later prefixes."""
     if k < 0:
         return
     n = g.n
     full = (1 << n) - 1
-    if need <= 0:
+    if cursor.need <= 0:
         base = components_masks(g, 0)
         if len(base) >= 2:
-            yield 0, base
-    for size in range(max(need, 1), min(k, n) + 1):
+            yield 0, (base, None, None, None), None
+    for size in range(1, min(k, n) + 1):
+        if size < cursor.need:
+            continue
         for prefix in combinations(range(n), size - 1):
             pmask = set_to_mask(prefix)
             start = pmask.bit_length()
-            short = need - bin(pmask & wmask).count("1")
+            wmask = cursor.wmask
+            short = cursor.need - bin(pmask & wmask).count("1")
             lasts = wmask if short == 1 else full
             if short > 1 or not lasts >> start:
                 continue
             profile = _removal_profile(g, pmask)
             count = profile[3]
-            for w in range(start, n):
-                if count[w] >= 2 and (lasts >> w) & 1:
-                    yield pmask | 1 << w, _components_without(profile, w)
+            for v in range(start, n):
+                if count[v] >= 2 and (lasts >> v) & 1:
+                    yield pmask | 1 << v, profile, v
+
+
+def _disconnecting_separators(g: Graph, k: int, wmask: int, need: int):
+    """Yields lazily every vertex set of size <= k that holds at least
+    `need` vertices of wmask and whose removal leaves >= 2 components, as
+    (mask, components), ascending by (size, lexicographic members); see
+    _separator_stream."""
+    cursor = _SweepCursor(g, k)
+    cursor.wmask, cursor.need = wmask, need
+    for smask, profile, v in cursor.stream:
+        yield smask, _components_without(profile, v)
 
 
 def _pruned_passes(n: int, k: int, wlen: int, need: int) -> int:
@@ -200,11 +247,25 @@ def _need(wlen: int, q: int, k: int) -> Optional[int]:
     return None if need > min(k, wlen) else need
 
 
-def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
+def check_by_separators(
+    g: Graph, w: Iterable[int], q: int, k: int, *,
+    _cursor: Optional[_SweepCursor] = None,
+):
     """check_unbreakable by the separator sweep alone, exact: every vertex
     set of size <= k that disconnects g and holds enough w-vertices for a
     witness (_need), unless w is too small for any. Raises
-    SizeGuardError when _sweep_allowed refuses."""
+    SizeGuardError when _sweep_allowed refuses.
+
+    Each separator is first tested on how many w-vertices each component
+    it leaves holds; only one whose counts split w gets its components
+    built, and yields the cut.
+
+    `_cursor` (internal, for balanced_origin) resumes the sweep of the last
+    check made with it, on the same g, q and k: the separator it answered
+    with is tested again, then the stream goes on. Invariant: no separator
+    before the cursor is a witness for w. Each was rejected by a check of
+    a superset of w, and a witness for w is also one for every superset.
+    The caller must drop the cursor once w gains a vertex."""
     wset = set(w)
     need = _need(len(wset), q, k)
     if need is None:
@@ -218,25 +279,33 @@ def check_by_separators(g: Graph, w: Iterable[int], q: int, k: int):
             f"{config.UNBREAKABLE_ENUM_LIMIT}"
         )
     wmask = set_to_mask(wset)
-    full = (1 << g.n) - 1
-    for smask, comps in _disconnecting_separators(g, k, wmask, need):
-        q2 = q - bin(smask & wmask).count("1")
+    cursor = _SweepCursor(g, k) if _cursor is None else _cursor
+    cursor.wmask, cursor.need = wmask, need
+    items = cursor.stream
+    if cursor.stopped is not None:
+        items = chain((cursor.stopped,), items)
+    for item in items:
+        smask, profile, v = item
+        in_w = bin(smask & wmask).count("1")
+        if in_w < need:
+            continue  # from a prefix profiled for an earlier, larger w
+        q2 = q - in_w
+        if q2 >= 0:
+            counts = _w_counts(profile, v, wmask)
+            if _split_counts(counts, q2 + 1, sum(counts) - q2 - 1) is None:
+                continue
+        cursor.stopped = item
+        comps = _components_without(profile, v)
+        full = (1 << g.n) - 1
         if q2 < 0:
             left = comps[0]
-            return VertexCut(
-                mask_to_set(left | smask), mask_to_set(full & ~left)
-            )
+            return VertexCut(mask_to_set(left | smask), mask_to_set(full & ~left))
         counts = [bin(c & wmask).count("1") for c in comps]
-        total = sum(counts)
-        chosen = _split_counts(counts, q2 + 1, total - q2 - 1)
-        if chosen is None:
-            continue
         left = smask
-        for i in chosen:
+        for i in _split_counts(counts, q2 + 1, sum(counts) - q2 - 1):
             left |= comps[i]
-        return VertexCut(
-            mask_to_set(left), mask_to_set((full & ~left) | smask)
-        )
+        return VertexCut(mask_to_set(left), mask_to_set((full & ~left) | smask))
+    cursor.stopped = None
     return UNBREAKABLE
 
 
@@ -392,7 +461,10 @@ def _check_by_core(g: Graph, w: Iterable[int], q: int, k: int):
     return UNBREAKABLE
 
 
-def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
+def check_unbreakable(
+    g: Graph, w: Iterable[int], q: int, k: int, *,
+    _cursor: Optional[_SweepCursor] = None,
+):
     """Certify that w is (q,k)-unbreakable in g, or return a breakable
     witness: a cut (L,R) with |L∩R| <= k, |L∩w| > q, and |R∩w| > q.
 
@@ -411,7 +483,8 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
     searches, is under the sweep's DFS passes (_pruned_passes) or the
     sweep's guard refuses, and else the sweep; the sweep also answers
     where the core strategy does not apply. The verifier runs the sweep
-    alone.
+    alone. `_cursor` is internal: balanced_origin's resumable sweep, handed
+    to check_by_separators; the strategy choice never reads it.
 
     The core strategy picks, greedily by degree, a core C of w-vertices of
     degree > k: k + 1 hubs that are pairwise linked (adjacent, or not
@@ -458,7 +531,7 @@ def check_unbreakable(g: Graph, w: Iterable[int], q: int, k: int):
         verdict = _check_by_core(g, wset, q, k)
         if verdict is not None:
             return verdict
-    return check_by_separators(g, wset, q, k)
+    return check_by_separators(g, wset, q, k, _cursor=_cursor)
 
 
 def net_size(sigma: int, alpha: float) -> int:
@@ -491,6 +564,14 @@ def balanced_origin(g: Graph, k: int, sigma: int, rng) -> FrozenSet[int]:
 
     Starts from a sampled net and repeatedly applies the smaller-side update
     X <- (X \\ L) ∪ (L ∩ R) until the unbreakability check certifies.
+
+    The checks share one resumable separator sweep (a _SweepCursor; see
+    check_by_separators): every separator before the cursor is no witness
+    for the current X, since each was rejected for an earlier X, a superset
+    of it. An update whose separator L ∩ R brings in a vertex outside X breaks
+    that (a set with more vertices may have a witness among them), so the
+    cursor starts over then. A check the core strategy answers leaves the
+    cursor as it was, still valid for the smaller X.
     """
     if k > sigma:
         raise ValueError("k must be at most sigma")
@@ -498,13 +579,16 @@ def balanced_origin(g: Graph, k: int, sigma: int, rng) -> FrozenSet[int]:
         raise ValueError("balanced_origin requires a connected graph")
     w = sample_net(g, sigma, 0.5, rng)
     x = set(w)
+    cursor = _SweepCursor(g, k)
     while True:
-        verdict = check_unbreakable(g, x, k, k)
+        verdict = check_unbreakable(g, x, k, k, _cursor=cursor)
         if verdict == UNBREAKABLE:
             return frozenset(x)
         cut = _smaller_side(verdict)
         new_x = (x - cut.L) | (cut.L & cut.R)
         assert len(new_x) < len(x), "witness update must shrink the set"
+        if not new_x <= x:
+            cursor = _SweepCursor(g, k)
         x = new_x
         if __debug__:
             half = g.n / 2

@@ -152,7 +152,6 @@ def width_budget(k: int, n: int) -> int:
 
 def check_cover_properties(
     g: Graph,
-    cg: CapacitatedGraph,
     s: int,
     captured: FrozenSet[int],
     cover: MincutCover,

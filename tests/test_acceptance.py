@@ -265,7 +265,7 @@ def test_criterion_4_single_source_mincut_cover():
             failures.append((seed, "captured", captured, expected))
             continue
         problems = check_cover_properties(
-            g, cg, s, captured, cover, lambda t: lam(cg, t, s)
+            g, s, captured, cover, lambda t: lam(cg, t, s)
         )
         if problems:
             failures.append((seed, "properties", problems))

@@ -29,6 +29,7 @@ from qktree.flow import (
     unit_capacities,
     with_new_vertices,
 )
+from qktree.isolating import ordered_disjoint
 from qktree.origin import UNBREAKABLE, balanced_origin, check_unbreakable
 from qktree.ssmc import single_source_mincut_cover
 from qktree.verify import carvable_oracle, is_connected_witness, width_budget
@@ -480,7 +481,7 @@ def one_shot_cover(ctx, rng, stop=True):
     for coll in kept:
         if coll is not best_raw:
             merged += [c for c in coll if all(
-                carving.ordered_disjoint(c, o) and carving.ordered_disjoint(o, c)
+                ordered_disjoint(c, o) and ordered_disjoint(o, c)
                 for o in merged
             )]
     return frozenset(q_set), make_lean(ctx, merged) if merged else []

@@ -462,3 +462,144 @@ def test_balanced_origin_success_rate():
         if brute_origin_check(g, x, 2, 0.5):
             hits += 1
     assert hits / total >= 0.25
+
+
+def sparse_graph(n, seed):
+    """A random recursive tree plus uniform random edges up to
+    m = round(1.35(n - 1))."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < round(1.35 * (n - 1)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+def origin_without_cursor(g, k, sigma, rng, resets):
+    """balanced_origin's loop with every check from scratch; appends to
+    resets each update that adds a vertex outside x."""
+    import qktree.origin as origin
+
+    x = set(sample_net(g, sigma, 0.5, rng))
+    while True:
+        verdict = check_unbreakable(g, x, k, k)
+        if verdict == UNBREAKABLE:
+            return frozenset(x)
+        cut = origin._smaller_side(verdict)
+        new_x = (x - cut.L) | (cut.L & cut.R)
+        if not new_x <= x:
+            resets.append(new_x - x)
+        x = new_x
+
+
+def test_cursor_matches_checks_from_scratch(monkeypatch):
+    # 300 graphs, sparse (n 8-24, m = 1.35(n - 1)) and G(n, p), k 2-4:
+    # balanced_origin, whose checks resume one sweep, returns what checks
+    # from scratch give and draws as much randomness; the corpus holds
+    # updates that reset the cursor and passes the core strategy answers
+    import qktree.origin as origin
+
+    core = origin._check_by_core
+    core_verdicts = []
+
+    def check_by_core(*args):
+        core_verdicts.append(core(*args))
+        return core_verdicts[-1]
+
+    monkeypatch.setattr(origin, "_check_by_core", check_by_core)
+    resets = []
+    answered_by_core = 0
+    for seed in range(300):
+        rng = random.Random(800000 + seed)
+        k = rng.randint(2, 4)
+        n = rng.randint(8, 24)
+        if seed % 2:
+            g = connected_gnp(n, rng.uniform(0.15, 0.5), 800000 + seed)
+        else:
+            g = sparse_graph(n, 800000 + seed)
+        with_cursor = random.Random(seed)
+        core_verdicts.clear()
+        x = balanced_origin(g, k, 2 * k, with_cursor)
+        answered_by_core += sum(v not in (None, UNBREAKABLE) for v in core_verdicts)
+        from_scratch = random.Random(seed)
+        assert x == origin_without_cursor(g, k, 2 * k, from_scratch, resets), (
+            seed, g.edges(), k
+        )
+        assert with_cursor.getstate() == from_scratch.getstate(), seed
+    assert len(resets) >= 20 and answered_by_core >= 20, (
+        len(resets), answered_by_core
+    )
+
+
+def test_cursor_saves_removal_profiles(monkeypatch):
+    # one seeded balanced_origin call (sparse n = 20, k = 4, the pwaycut
+    # workload's shape) makes 44 removal profiles with its cursor and 169
+    # with every check from scratch, for the same origin
+    import qktree.origin as origin
+
+    calls = []
+    profile = origin._removal_profile
+    monkeypatch.setattr(
+        origin, "_removal_profile", lambda *args: calls.append(1) or profile(*args)
+    )
+    g = sparse_graph(20, 8)
+    x = balanced_origin(g, 4, 8, random.Random(8))
+    assert len(calls) == 44
+    calls.clear()
+    resets = []
+    assert origin_without_cursor(g, 4, 8, random.Random(8), resets) == x
+    assert len(calls) == 169 and not resets
+
+
+def sweep_with_component_lists(g, w, q, k):
+    """The separator sweep with every component list built: each
+    separator's components from _disconnecting_separators, split by
+    _split_counts. Returns the cut and whether it came from the q2 < 0
+    branch."""
+    from qktree.core import VertexCut, mask_to_set
+    from qktree.origin import _disconnecting_separators, _split_counts
+
+    need = 2 * q + 2 - len(w)
+    if need > min(k, len(w)):
+        return UNBREAKABLE, False
+    wmask = set_to_mask(w)
+    full = (1 << g.n) - 1
+    for smask, comps in _disconnecting_separators(g, k, wmask, need):
+        q2 = q - bin(smask & wmask).count("1")
+        if q2 < 0:
+            left = comps[0]
+            cut = VertexCut(mask_to_set(left | smask), mask_to_set(full & ~left))
+            return cut, True
+        counts = [bin(c & wmask).count("1") for c in comps]
+        chosen = _split_counts(counts, q2 + 1, sum(counts) - q2 - 1)
+        if chosen is not None:
+            left = smask
+            for i in chosen:
+                left |= comps[i]
+            cut = VertexCut(mask_to_set(left), mask_to_set((full & ~left) | smask))
+            return cut, False
+    return UNBREAKABLE, False
+
+
+def test_count_first_sweep_returns_the_reference_cut():
+    # the sweep that tests each separator on its w-counts first answers
+    # with the very cut of the sweep that builds every component list;
+    # q < k, the q2 < 0 branch and both verdicts are all among the cases
+    seen = {"below": 0, "q2_negative": 0, "breakable": 0, "unbreakable": 0}
+    for seed in range(500):
+        rng = random.Random(900000 + seed)
+        n = rng.randint(2, 14)
+        if seed % 2:
+            g = gnp(n, rng.uniform(0.1, 0.6), 900000 + seed)
+        else:
+            g = sparse_graph(n, 900000 + seed)
+        w = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+        q = rng.randint(0, 3)
+        k = rng.randint(0, 4)
+        expected, q2_negative = sweep_with_component_lists(g, w, q, k)
+        assert check_by_separators(g, w, q, k) == expected, (
+            seed, g.edges(), sorted(w), q, k
+        )
+        seen["below"] += q < k
+        seen["q2_negative"] += q2_negative
+        seen["breakable" if expected != UNBREAKABLE else "unbreakable"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -81,7 +81,7 @@ def test_cover_properties_on_random_instances(block):
         expected = {t for t in sinks if lam(cg, t, s) <= k}
         assert captured == expected, (seed, g.edges(), s, sinks, k)
         problems = check_cover_properties(
-            g, cg, s, captured, cover, lambda t: lam(cg, t, s)
+            g, s, captured, cover, lambda t: lam(cg, t, s)
         )
         assert not problems, (seed, problems)
         assert cover.width <= width_budget(k, g.n)
@@ -127,7 +127,7 @@ def test_sinks_cut_off_from_the_source():
             cut.separator == {1} and cut.left_only == {2} for cut in later
         )
         problems = check_cover_properties(
-            g, cg, 0, captured, cover, lambda t: lam(cg, t, 0)
+            g, 0, captured, cover, lambda t: lam(cg, t, 0)
         )
         assert not problems
 
