@@ -154,12 +154,28 @@ def color_family(
     return color_family_general(universe_size, packed, n_ambient, rng)
 
 
-def _within_cut_bound(cg, t: int, ctx: WitnessContext) -> bool:
-    """Whether at most k' vertices of cg = ctx.g, X ones allowed, cut t off from X."""
-    if len(ctx.x_set) <= ctx.k_prime or len(cg.base.adj[t]) <= ctx.k_prime:
-        return True  # X, or N(t), is such a cut
-    flow = bounded_vertex_maxflow(cg, (t,), ctx.x_set, ctx.k_prime, cut_sinks=True)
-    return flow.value != EXCEEDS_BOUND
+def heavy_memo(ctx: WitnessContext) -> bytearray:
+    """Per vertex v of g, whether more than k' vertex-disjoint paths join v
+    to X, with v uncuttable and X cuttable, so that no k' vertices cut v off
+    from X: 0 untested, 1 light, 2 heavy. A vertex of X, or of degree at
+    most k', and every vertex when |X| <= k', is light from the start (X,
+    or N(v), is such a cut); witness_cover tests the rest lazily, one
+    k'-bounded flow each.
+
+    The answer depends on g, X and k' alone, so the memo lives in g's
+    caches under ("heavy", X, k'): every cover at the same level shares
+    it, whatever its terminal set, and it dies with g.
+    """
+    g, x_set, k_prime = ctx.g, ctx.x_set, ctx.k_prime
+    key = ("heavy", x_set, k_prime)
+    memo = g._caches.get(key)
+    if memo is None:
+        free = len(x_set) <= k_prime
+        memo = g._caches[key] = bytearray(
+            1 if free or v in x_set or len(g.adj[v]) <= k_prime else 0
+            for v in range(g.n)
+        )
+    return memo
 
 
 def witness_cover(
@@ -184,11 +200,17 @@ def witness_cover(
     loses coverage.
 
     The loop stops once q_set holds U, the terminals t ∉ X that at most k'
-    vertices, X ones allowed, cut off from X. A witness has t in L\\R and
-    X ⊆ R, so its L∩R is such a cut: q_set ⊆ U always, and q_set is what
-    the whole family gives, while best comes from the collections found
-    before the stop. Each t is tested at most once, lazily, and for free
-    when deg(t) <= k' or |X| <= k'. With X empty every color function runs.
+    vertices, X ones allowed, cut off from X: those heavy_memo calls
+    light. A witness has t in L\\R and X ⊆ R, so its L∩R is such a
+    cut: q_set ⊆ U always, and q_set is what the whole family gives, while
+    best comes from the collections found before the stop. With X empty
+    every color function runs.
+
+    The same memo spares ssmc's per-sink pre-filter the flows of heavy
+    super sinks. A t-s cut of at most k' vertices avoids the infinite
+    color-1 terminals, so it cuts each of them off from X in g (the other
+    super vertices only add paths). A super sink whose component holds a
+    heavy terminal thus has lambda(t, s) > k' and is passed as heavy.
     """
     g = ctx.g
     k_prime = ctx.k_prime
@@ -203,14 +225,25 @@ def witness_cover(
     q_set: set = set()
     untested = iter(sorted(ctx.t_set - ctx.x_set))
     pending = None  # a terminal of U not yet in q_set
+    memo = heavy_memo(ctx)
     cg = unit_capacities(g)
+
+    def heavy(v: int) -> bool:
+        if not memo[v]:
+            flow = bounded_vertex_maxflow(cg, (v,), ctx.x_set, k_prime, cut_sinks=True)
+            memo[v] = 1 + (flow.value == EXCEEDS_BOUND)
+        return memo[v] == 2
+
+    # the terminals not known to be light, the only ones that can make a
+    # super sink heavy; memo entries only settle, so this stays a superset
+    unsettled = set_to_mask(local for local, v in enumerate(ids) if memo[v] != 1)
     # g plus the super source, for every color function to extend
     with_s = with_new_vertices(g, [ctx.x_set], (1,) * g.n + (INF,))
     h_adj = h.adj_masks()
     for f in family:
         if ctx.x_set and (pending is None or pending in q_set):
             pending = next((t for t in untested if t not in q_set
-                            and _within_cut_bound(cg, t, ctx)), None)
+                            and not heavy(t)), None)
             if pending is None:
                 break
         color1 = [local for local in range(len(ids)) if f[local] == 1]
@@ -220,12 +253,14 @@ def witness_cover(
         # joined to the component and its color-2 torso neighborhood
         color2 = set_to_mask(local for local in range(len(ids)) if f[local] == 2)
         comps = components_masks(h, ((1 << len(ids)) - 1) & ~set_to_mask(color1))
-        attach = []
-        for comp in comps:
+        attach, heavy_sinks = [], set()
+        for sink, comp in enumerate(comps, start=g.n + 1):
             reach = comp
             for u in mask_to_set(comp):
                 reach |= h_adj[u] & color2
             attach.append([ids[u] for u in mask_to_set(reach)])
+            if any(heavy(ids[u]) for u in mask_to_set(comp & unsettled)):
+                heavy_sinks.add(sink)
         sink_ids = list(range(g.n + 1, g.n + 1 + len(comps)))
         # X vertices stay at capacity 1 even when colored 1: they may appear
         # in separators (the cut still keeps X inside R), and an infinite X
@@ -236,7 +271,7 @@ def witness_cover(
                 caps[ids[local]] = INF
         cover, _captured = single_source_mincut_cover(
             with_new_vertices(with_s.base, attach, caps + [INF] * len(comps)),
-            g.n, sink_ids, k_prime, rng,
+            g.n, sink_ids, k_prime, rng, heavy=heavy_sinks.__contains__,
         )
         for coll in cover.collections:
             projs = (VertexCut(c.L & g_vertices, c.R & g_vertices) for c in coll)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from .core import VertexCut
 from .flow import (
@@ -80,6 +80,7 @@ def single_source_mincut_cover(
     sinks: Iterable[int],
     k: int,
     rng,
+    heavy: Optional[Callable[[int], bool]] = None,
 ) -> Tuple[MincutCover, FrozenSet[int]]:
     """Mincut cover for all sinks within vertex connectivity k of the source.
 
@@ -91,6 +92,12 @@ def single_source_mincut_cover(
     mincut for some captured sink t with t in L\\R; each collection holds
     pairwise disjoint cuts and appears once. A level k' below the size of
     every remaining sink's cuts draws no random number.
+
+    `heavy`, if given, names sinks known to have lambda(t, s) > k: the
+    pre-filter drops them without a flow, as its flow would. The caller
+    vouches for it; a sink named wrongly is never captured. Without it
+    every sink gets its flow, and the output and the random draws are the
+    same either way.
     """
     g = cg.base
     sink_set = frozenset(sinks)
@@ -124,8 +131,8 @@ def single_source_mincut_cover(
 
     # a cut of size k' <= k isolating a sink certifies lambda(t, s) <= k, so
     # sinks above that connectivity can never be captured; drop them from
-    # the sampling pool up front (one cheap bounded flow each), keeping
-    # each remaining sink's source-minimal t-s mincut
+    # the sampling pool up front (one k-bounded flow each, none for a sink
+    # named heavy), keeping each remaining sink's source-minimal t-s mincut
     light: List[int] = []
     light_cut: dict = {}
     # a sink cut off from the source has flow value 0, and its minimal cut
@@ -137,8 +144,8 @@ def single_source_mincut_cover(
     top = max((c for c in cg.capacity if c != INF), default=1)
     least: dict = {}
     for t in sink_list:
-        if t in gamma:
-            continue  # in the component of a sink already cut off
+        if t in gamma or (heavy is not None and heavy(t)):
+            continue  # cut off with an earlier sink's component, or heavy
         res = bounded_vertex_maxflow(cg, {t}, {s}, k)
         if res.value == 0:
             comp = res.mincut.L

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from itertools import combinations, product
@@ -427,10 +428,21 @@ def test_witness_cover_q_set_within_the_flow_bound():
                 assert flow.value != EXCEEDS_BOUND, (seed, k_prime, t)
 
 
+def within_cut_bound(cg, t, ctx):
+    """Whether at most k' vertices of g, X ones allowed, cut t off from X,
+    by one plain flow per call."""
+    if len(ctx.x_set) <= ctx.k_prime or len(cg.base.adj[t]) <= ctx.k_prime:
+        return True  # X, or N(t), is such a cut
+    flow = bounded_vertex_maxflow(cg, (t,), ctx.x_set, ctx.k_prime, cut_sinks=True)
+    return flow.value != EXCEEDS_BOUND
+
+
 def one_shot_cover(ctx, rng, stop=True):
     """witness_cover with each color function's graph extended from g in
-    one shot, the super sinks first and the super source after them. With
-    stop=False every color function of the family runs."""
+    one shot, the super sinks first and the super source after them, and
+    no heavy-vertex memo: the stop rule runs its own flows, and ssmc gets
+    no heavy sinks. With stop=False every color function of the family
+    runs."""
     g, k_prime = ctx.g, ctx.k_prime
     if ctx.x_set == ctx.t_set:
         return frozenset(), []
@@ -445,7 +457,7 @@ def one_shot_cover(ctx, rng, stop=True):
     for f in family:
         if stop and ctx.x_set and (pending is None or pending in q_set):
             pending = next((t for t in untested if t not in q_set
-                            and carving._within_cut_bound(cg, t, ctx)), None)
+                            and within_cut_bound(cg, t, ctx)), None)
             if pending is None:
                 break
         color1 = [local for local in range(len(ids)) if f[local] == 1]
@@ -498,15 +510,21 @@ def test_witness_cover_matches_the_whole_family():
 
 
 def test_witness_cover_matches_a_one_shot_extension():
-    """Building the super source once per cover, at id g.n, changes no
-    output and no rng draw: the super vertices never reach the output."""
+    """Building the super source once per cover, at id g.n, and reading
+    the stop rule and the heavy super sinks off the memo change no output
+    and no rng draw: the super vertices never reach the output, and a
+    dropped sink is one the pre-filter's flow drops. The second cover of
+    each context reads a memo the first one filled."""
     for seed in range(40):
         g, x = witness_cover_instance(seed)
         for k_prime in (1, 2, 3):
             ctx = WitnessContext(g, range(g.n), x, k_prime)
-            ours, ref = random.Random(seed), random.Random(seed)
-            assert witness_cover(ctx, ours) == one_shot_cover(ctx, ref), (seed, k_prime)
-            assert ours.getstate() == ref.getstate(), (seed, k_prime)
+            ref = random.Random(seed)
+            expected = one_shot_cover(ctx, ref)
+            for memo in ("fresh", "filled"):
+                ours = random.Random(seed)
+                assert witness_cover(ctx, ours) == expected, (seed, k_prime, memo)
+                assert ours.getstate() == ref.getstate(), (seed, k_prime, memo)
 
 
 def test_witness_cover_stops_when_no_terminal_can_be_cut_off(monkeypatch):
@@ -523,3 +541,56 @@ def test_witness_cover_stops_when_no_terminal_can_be_cut_off(monkeypatch):
     ctx = WitnessContext(g, range(8), range(4), 2)
     assert witness_cover(ctx, random.Random(0)) == (frozenset(), [])
     assert len(calls) <= 1
+
+
+def test_heavy_memo_and_dropped_sinks_are_sound(monkeypatch):
+    """Every vertex the memo marks heavy has a v–X flow above k', and every
+    super sink a cover names heavy has lambda(t, s) > k' by a direct flow."""
+    dropped = []
+
+    def checking(cg, s, sinks, k, rng, heavy=None):
+        for t in sinks:
+            if heavy(t):
+                assert bounded_vertex_maxflow(cg, {t}, {s}, k).value == EXCEEDS_BOUND
+                dropped.append(t)
+        return single_source_mincut_cover(cg, s, sinks, k, rng, heavy=heavy)
+
+    monkeypatch.setattr(carving, "single_source_mincut_cover", checking)
+    marked = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = connected_gnp(rng.randint(10, 16), rng.uniform(0.25, 0.45), seed)
+        x = frozenset(rng.sample(range(g.n), rng.randint(2, 5)))
+        cg = unit_capacities(g)
+        for k_prime in (1, 2):
+            witness_cover(WitnessContext(g, range(g.n), x, k_prime), rng)
+            memo = g._caches[("heavy", x, k_prime)]
+            for v in range(g.n):
+                if memo[v] == 2:
+                    marked += 1
+                    flow = bounded_vertex_maxflow(cg, (v,), x, k_prime, cut_sinks=True)
+                    assert flow.value == EXCEEDS_BOUND, (seed, k_prime, v)
+    assert marked >= 200 and len(dropped) >= 50, (marked, len(dropped))
+
+
+def test_heavy_memo_is_per_graph():
+    """Two graphs with equal X and k' keep apart memos: on K_8 every vertex
+    outside X = {0..3} is heavy at k' = 2, while on the second graph the
+    same vertices hang off X by one edge, so its cover must still find
+    them, as the memo-free reference does."""
+    x = frozenset(range(4))
+    first = Graph(8, combinations(range(8), 2))
+    assert witness_cover(WitnessContext(first, range(8), x, 2), random.Random(0)) == (
+        frozenset(), [])
+    assert set(first._caches[("heavy", x, 2)][4:]) == {2}
+    del first
+    gc.collect()  # the next graph may reuse the freed object's id
+    second_edges = list(combinations(range(4), 2)) + list(
+        combinations(range(4, 8), 2)) + [(0, 4)]
+    second = Graph(8, second_edges)
+    ctx = WitnessContext(second, range(8), x, 2)
+    q_set, best = witness_cover(ctx, random.Random(1))
+    assert q_set == {4, 5, 6, 7}
+    assert (q_set, best) == one_shot_cover(
+        WitnessContext(Graph(8, second_edges), range(8), x, 2), random.Random(1))
+    assert 2 not in second._caches[("heavy", x, 2)]

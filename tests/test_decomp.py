@@ -294,3 +294,28 @@ def test_from_json_rejects_missing_keys_and_out_of_range_vertices():
         edit(bad)
         with pytest.raises(ValueError):
             decomposition_from_json(json.dumps(bad))
+
+
+def test_flow_count_is_pinned_on_a_seeded_decomposition(monkeypatch):
+    """The flows of one decomposition are deterministic for its seeds, so a
+    change that loses work-saving (the witness covers' heavy-vertex memo,
+    say) fails here as a count, not as a timing. A G(60, 142 edges) graph
+    at k = 3, like the decomp_gnp benchmark's: without the memo it ran
+    510 flows."""
+    from qktree import carving, flow, isolating, origin, ssmc
+
+    original = flow.bounded_vertex_maxflow
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (carving, flow, isolating, origin, ssmc):
+        monkeypatch.setattr(module, "bounded_vertex_maxflow", counting)
+    rng = random.Random(1)
+    pairs = [(u, v) for u in range(60) for v in range(u + 1, 60)]
+    g = Graph(60, rng.sample(pairs, 142))
+    _deco, report = decompose(g, 3, 1, rng=random.Random(0), seed=0)
+    assert report.node_count == 20
+    assert len(calls) == 414

@@ -184,3 +184,33 @@ def test_skipped_levels_draw_nothing(k):
     assert all(cut.size == k for cut in cover.all_cuts())
     scales = int(math.log2(g.n)) + 1
     assert rng.draws == scales * len(sinks)
+
+
+def test_heavy_sinks_change_nothing():
+    """Naming exactly the sinks with lambda(t, s) > k as heavy skips their
+    pre-filter flows and changes no cut, no captured sink and no draw."""
+    named = checked = 0
+    seed = 70000
+    while checked < 60:
+        seed += 1
+        inst = random_ssmc_instance(seed, max_n=16, max_sinks=6)
+        if inst is None:
+            continue
+        g, s, sinks = inst
+        checked += 1
+        k = random.Random(seed ^ 7).randint(1, 3)
+        cg = caps_with_inf(g, {s} | set(sinks))
+        heavy = {
+            t for t in sinks
+            if bounded_vertex_maxflow(cg, {t}, {s}, k).value == EXCEEDS_BOUND
+        }
+        named += len(heavy)
+        plain, hinted = random.Random(seed), random.Random(seed)
+        cover, captured = single_source_mincut_cover(cg, s, sinks, k, plain)
+        cover_h, captured_h = single_source_mincut_cover(
+            cg, s, sinks, k, hinted, heavy=heavy.__contains__
+        )
+        assert cover_h.collections == cover.collections, seed
+        assert captured_h == captured, seed
+        assert hinted.getstate() == plain.getstate(), seed
+    assert named >= 30, named
