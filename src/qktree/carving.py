@@ -234,9 +234,6 @@ def witness_cover(
             memo[v] = 1 + (flow.value == EXCEEDS_BOUND)
         return memo[v] == 2
 
-    # the terminals not known to be light, the only ones that can make a
-    # super sink heavy; memo entries only settle, so this stays a superset
-    unsettled = set_to_mask(local for local, v in enumerate(ids) if memo[v] != 1)
     # g plus the super source, for every color function to extend
     with_s = with_new_vertices(g, [ctx.x_set], (1,) * g.n + (INF,))
     h_adj = h.adj_masks()
@@ -259,7 +256,7 @@ def witness_cover(
             for u in mask_to_set(comp):
                 reach |= h_adj[u] & color2
             attach.append([ids[u] for u in mask_to_set(reach)])
-            if any(heavy(ids[u]) for u in mask_to_set(comp & unsettled)):
+            if any(heavy(ids[u]) for u in mask_to_set(comp)):
                 heavy_sinks.add(sink)
         sink_ids = list(range(g.n + 1, g.n + 1 + len(comps)))
         # X vertices stay at capacity 1 even when colored 1: they may appear
@@ -271,7 +268,7 @@ def witness_cover(
                 caps[ids[local]] = INF
         cover, _captured = single_source_mincut_cover(
             with_new_vertices(with_s.base, attach, caps + [INF] * len(comps)),
-            g.n, sink_ids, k_prime, rng, heavy=heavy_sinks.__contains__,
+            g.n, sink_ids, k_prime, rng, heavy=heavy_sinks,
         )
         for coll in cover.collections:
             projs = (VertexCut(c.L & g_vertices, c.R & g_vertices) for c in coll)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, List, Tuple
 
 from .core import VertexCut
 from .flow import (
@@ -80,7 +80,7 @@ def single_source_mincut_cover(
     sinks: Iterable[int],
     k: int,
     rng,
-    heavy: Optional[Callable[[int], bool]] = None,
+    heavy: AbstractSet[int] = frozenset(),
 ) -> Tuple[MincutCover, FrozenSet[int]]:
     """Mincut cover for all sinks within vertex connectivity k of the source.
 
@@ -93,11 +93,11 @@ def single_source_mincut_cover(
     pairwise disjoint cuts and appears once. A level k' below the size of
     every remaining sink's cuts draws no random number.
 
-    `heavy`, if given, names sinks known to have lambda(t, s) > k: the
-    pre-filter drops them without a flow, as its flow would. The caller
-    vouches for it; a sink named wrongly is never captured. Without it
-    every sink gets its flow, and the output and the random draws are the
-    same either way.
+    `heavy` names sinks known to have lambda(t, s) > k: the pre-filter
+    drops them without a flow, as its flow would. The caller vouches for
+    it; a sink named wrongly is never captured. With it empty every sink
+    gets its flow, and the output and the random draws are the same
+    either way.
     """
     g = cg.base
     sink_set = frozenset(sinks)
@@ -144,7 +144,7 @@ def single_source_mincut_cover(
     top = max((c for c in cg.capacity if c != INF), default=1)
     least: dict = {}
     for t in sink_list:
-        if t in gamma or (heavy is not None and heavy(t)):
+        if t in gamma or t in heavy:
             continue  # cut off with an earlier sink's component, or heavy
         res = bounded_vertex_maxflow(cg, {t}, {s}, k)
         if res.value == 0:

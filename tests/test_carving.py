@@ -548,11 +548,10 @@ def test_heavy_memo_and_dropped_sinks_are_sound(monkeypatch):
     super sink a cover names heavy has lambda(t, s) > k' by a direct flow."""
     dropped = []
 
-    def checking(cg, s, sinks, k, rng, heavy=None):
-        for t in sinks:
-            if heavy(t):
-                assert bounded_vertex_maxflow(cg, {t}, {s}, k).value == EXCEEDS_BOUND
-                dropped.append(t)
+    def checking(cg, s, sinks, k, rng, heavy=frozenset()):
+        for t in heavy:
+            assert bounded_vertex_maxflow(cg, {t}, {s}, k).value == EXCEEDS_BOUND
+            dropped.append(t)
         return single_source_mincut_cover(cg, s, sinks, k, rng, heavy=heavy)
 
     monkeypatch.setattr(carving, "single_source_mincut_cover", checking)

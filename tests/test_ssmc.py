@@ -208,7 +208,7 @@ def test_heavy_sinks_change_nothing():
         plain, hinted = random.Random(seed), random.Random(seed)
         cover, captured = single_source_mincut_cover(cg, s, sinks, k, plain)
         cover_h, captured_h = single_source_mincut_cover(
-            cg, s, sinks, k, hinted, heavy=heavy.__contains__
+            cg, s, sinks, k, hinted, heavy=heavy
         )
         assert cover_h.collections == cover.collections, seed
         assert captured_h == captured, seed

@@ -2,9 +2,9 @@
 two checkouts and to track the running time's growth in n.
 
 usage (from the repository root):
-    python3 -O tools/scaling.py [SRC] [--k K ...] [--cap SECONDS] [--max-n N]
+    python3 -O tools/scaling.py [SRC]
 
-For each k (default 1, 2, 3) and n = 100, 200, 400, ..., it decomposes one
+For each k in K_VALUES and n = 100, 200, 400, ... up to MAX_N, it decomposes one
 graph per n: a random recursive tree on n vertices plus uniform random
 edges up to m = round(1.35 (n - 1)), drawn with Random(1), by
 decompose(g, k, 1, seed=0) (STANDARD, epsilon = 1). One JSON line per row
@@ -16,7 +16,7 @@ where no memo exists) and the rest, its removal profiles
 node count and a sha256 prefix of its decomposition_to_json. Equal
 prefixes at two checkouts mean equal decompositions.
 
-A row that takes more than --cap CPU seconds (default 15) is k's last: the
+A row that takes more than CAP_S CPU seconds is k's last: the
 next n would take several times longer, so one run stays under about five
 minutes. After each k, one line gives the least-squares slope of
 log(seconds) on log(n) over its last three rows. No test or bound reads
@@ -27,7 +27,6 @@ witness-cover level in adhesion.py) are part of the times. SRC is the
 source directory to import qktree from (default: src).
 """
 
-import argparse
 import hashlib
 import json
 import math
@@ -37,13 +36,10 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-parser.add_argument("src", nargs="?", default=os.path.join(ROOT, "src"))
-parser.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
-parser.add_argument("--cap", type=float, default=15.0)
-parser.add_argument("--max-n", type=int, default=3200)
-args = parser.parse_args()
-sys.path.insert(0, args.src)
+K_VALUES = (1, 2, 3)
+CAP_S = 15.0
+MAX_N = 3200
+sys.path.insert(0, sys.argv[1] if len(sys.argv) > 1 else os.path.join(ROOT, "src"))
 
 from qktree import flow, origin  # noqa: E402
 from qktree.core import Graph  # noqa: E402
@@ -101,11 +97,11 @@ def slope(rows) -> float:
 
 
 print(json.dumps({"src": os.path.dirname(flow.__file__),
-                  "optimize": sys.flags.optimize, "cap_s": args.cap}), flush=True)
-for k in args.k:
+                  "optimize": sys.flags.optimize, "cap_s": CAP_S}), flush=True)
+for k in K_VALUES:
     rows = []
     n = 100
-    while n <= args.max_n:
+    while n <= MAX_N:
         g = sparse_graph(n)
         counts.update(dict.fromkeys(counts, 0))
         t0 = time.process_time()
@@ -118,7 +114,7 @@ for k in args.k:
                "digest": hashlib.sha256(out.encode()).hexdigest()[:16]}
         rows.append(row)
         print(json.dumps(row), flush=True)
-        if cpu > args.cap:
+        if cpu > CAP_S:
             break
         n *= 2
     if len(rows) >= 2:
